@@ -16,7 +16,13 @@ from pathlib import Path
 from . import io as cio
 from .corpus import build_corpus
 from .develop import build_development, build_local_development
-from .errors import CogkitError, ParseError, SearchBudgetExceeded, UnresolvedReference
+from .errors import (
+    CogkitError,
+    ParseError,
+    SearchBudgetExceeded,
+    UnknownObject,
+    UnresolvedReference,
+)
 from .immersions import check_immersion
 from .local import build_local_cog, build_sigma, build_theta
 from .presentations import abelianization, export, parse_structured, pi1_presentation
@@ -35,13 +41,22 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_document(path: str) -> dict:
+def _read_text(path: str) -> str:
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        return Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}")
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+
+
+def _load_document(path: str) -> dict:
+    payload = _read_json(path)
     if not isinstance(payload, dict) or "schema" not in payload:
         raise ParseError(f"{path}: not a schema-tagged document")
     return payload
@@ -130,8 +145,7 @@ def _tree_for(args, C) -> tuple[str, ...]:
     if spec == "bfs":
         return maximal_tree(C.base)
     if spec.startswith("file:"):
-        payload = json.loads(Path(spec[5:]).read_text())
-        return tuple(payload)
+        return tuple(_read_json(spec[5:]))
     raise ParseError(f"unknown tree selector {spec!r} (use 'bfs' or 'file:PATH')")
 
 
@@ -146,7 +160,7 @@ def cmd_pi1(args, ws) -> int:
 
 def cmd_abel(args, ws) -> int:
     if args.pres:
-        P = parse_structured(Path(args.pres).read_text())
+        P = parse_structured(_read_text(args.pres))
     else:
         C = _resolve_cog(args, ws)
         P = pi1_presentation(C, _tree_for(args, C))
@@ -157,7 +171,7 @@ def cmd_abel(args, ws) -> int:
 def cmd_export_pres(args, ws) -> int:
     if not args.pres:
         raise UnresolvedReference("--pres is required")
-    P = parse_structured(Path(args.pres).read_text())
+    P = parse_structured(_read_text(args.pres))
     fmt = args.format or "plain"
     fmt = {"json": "structured"}.get(fmt, fmt)
     _emit(export(P, fmt), args.emit)
@@ -191,7 +205,9 @@ def cmd_immerse(args, ws) -> int:
 def cmd_iso(args, ws) -> int:
     S1 = _scwol_from_path(ws, args.files[0])
     S2 = _scwol_from_path(ws, args.files[1])
-    budget = args.budget or DEFAULT_ISO_BUDGET
+    budget = DEFAULT_ISO_BUDGET if args.budget is None else args.budget
+    if budget < 1:
+        raise ParseError(f"--budget must be at least 1, got {budget}")
     iso = scwol_isomorphic(S1, S2, budget=budget)
     if iso is None:
         _emit(cio.dumps({"schema": "iso-witness/1", "isomorphic": False}), args.emit)
@@ -293,7 +309,7 @@ def main(argv=None) -> int:
     try:
         ws = cio.Workspace.load(args.dir) if Path(args.dir).is_dir() else cio.Workspace(root=Path(args.dir))
         return COMMANDS[args.command](args, ws)
-    except (ParseError, UnresolvedReference) as exc:
+    except (ParseError, UnresolvedReference, UnknownObject) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchBudgetExceeded as exc:

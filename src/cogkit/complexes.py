@@ -28,9 +28,6 @@ class ComplexOfGroups:
     twist: dict[tuple[str, str], int]
     label: str = field(default="G(Y)", compare=False)
 
-    def group(self, obj: str) -> FiniteGroup:
-        return self.group_of[obj]
-
     def __repr__(self) -> str:
         return f"ComplexOfGroups({self.label!r} over {self.base.label!r})"
 
@@ -120,12 +117,6 @@ class CogMorphism:
     phi_local: dict[str, GroupHom]
     phi_edge: dict[str, int]
 
-    def local(self, obj: str) -> GroupHom:
-        return self.phi_local[obj]
-
-    def edge(self, mor: str) -> int:
-        return self.phi_edge[mor]
-
 
 def validate_cog_morphism(phi: CogMorphism) -> ValidationReport:
     """Check functoriality of the underlying map and both morphism laws.
@@ -211,12 +202,6 @@ class MorphismToGroup:
     target: FiniteGroup
     phi_local: dict[str, GroupHom]
     phi_edge: dict[str, int]
-
-    def local(self, obj: str) -> GroupHom:
-        return self.phi_local[obj]
-
-    def edge(self, mor: str) -> int:
-        return self.phi_edge[mor]
 
 
 @dataclass(frozen=True)
@@ -314,8 +299,8 @@ def coboundary(C: ComplexOfGroups, g: dict[str, int]) -> tuple[ComplexOfGroups, 
 
         g'_{a,b} = psi'_a(g_b^-1) * g_a^-1 * g_{a,b} * g_{ab}
 
-    Both the new complex and the isomorphism are validated; a failure here
-    is an internal bug, not a user error.
+    The result is not re-validated: for a valid C both cocycle conditions
+    and both morphism laws hold by construction; the tests check them.
     """
     S = C.base
     for m in S.morphisms:
@@ -332,7 +317,6 @@ def coboundary(C: ComplexOfGroups, g: dict[str, int]) -> tuple[ComplexOfGroups, 
             target=old.target,
             image=tuple(Gt.conj(ga_inv, old(x)) for x in old.source.elements()),
         )
-        assert groups.is_subgroup(Gt, groups.hom_image(conj))
         new_psi[m.id] = conj
     new_twist = {}
     for (a, b), ab in S.comp.items():
@@ -353,8 +337,4 @@ def coboundary(C: ComplexOfGroups, g: dict[str, int]) -> tuple[ComplexOfGroups, 
         phi_local={o: groups.identity_hom(C.group_of[o]) for o in S.objects},
         phi_edge={m.id: g[m.id] for m in S.morphisms},
     )
-    rep = validate_cog(newC)
-    assert rep.ok, f"coboundary produced invalid complex: {rep.failures[:1]}"
-    rep = validate_cog_morphism(iso)
-    assert rep.ok, f"coboundary iso invalid: {rep.failures[:1]}"
     return newC, iso

@@ -16,162 +16,60 @@ from .complexes import CogMorphism, ComplexOfGroups, MorphismToGroup
 from .errors import ActionInversion, CompositionUnderdetermined, UnknownObject
 from .groups import CosetSpace, FiniteGroup
 from .scwols import (
+    UPPER_SOURCED,
     Failure,
     Morphism,
     Scwol,
     ScwolMorphism,
-    UPPER_EDGE_SEP,
+    StarScwol,
     ValidationReport,
-    is_nondegenerate,
     validate_scwol,
     validate_scwol_morphism,
 )
-
-
-def _pid(a: str, b: str) -> str:
-    return f"{a}{UPPER_EDGE_SEP}{b}"
 
 
 # -- local developments -------------------------------------------------------
 
 @dataclass(frozen=True)
 class LocalDevelopment:
-    """The scwol over gamma whose upper link is fattened by cosets.
+    """The star of gamma with its upper link fattened by cosets.
 
-    ``upper_objects`` maps object ids to (coset rep, c); ``mor_family`` tags
-    every morphism with its family and constituents:
-
-    - ("lk_up", rep, c, d)    upper-link-development edges
-    - ("gamma_c", rep, c)     center * (coset, c)
-    - ("b_c", b, rep, c)      b * (coset, c)
-    - ("b_gamma", b)          b * center
-    - ("lk_dn", a, b)         lower-link edges
+    ``scwol`` is the five-family StarScwol whose fiber over an upper object
+    c is the coset reps of psi_c(G_i(c)) in G_gamma, one space per c in
+    ``coset_spaces``; the upper-link edge (c, d) at rep ends at the rep of
+    rep * g_{c,d}^-1.
     """
 
-    scwol: Scwol
+    scwol: StarScwol
     source: ComplexOfGroups
-    gamma: str
-    center_id: str
-    upper_objects: dict[str, tuple[int, str]]
-    lower_objects: dict[str, str]
-    mor_family: dict[str, tuple]
     coset_spaces: dict[str, CosetSpace]  # per upper-link base morphism c
+
+    @property
+    def upper_objects(self) -> dict[str, tuple[int, str]]:
+        return self.scwol.upper
+
+    @property
+    def lower_objects(self) -> dict[str, str]:
+        return self.scwol.lower
+
+    @property
+    def mor_family(self) -> dict[str, tuple]:
+        return self.scwol.mor_family
 
 
 def build_local_development(C: ComplexOfGroups, gamma: str) -> LocalDevelopment:
     """Fatten the star of gamma by cosets of the psi_c-images in G_gamma."""
-    if gamma not in C.base.object_set:
-        raise UnknownObject(f"object {gamma!r} not in {C.base.label}")
     S = C.base
-    G = C.group_of[gamma]
-    ups = sorted(S.into(gamma))
-    downs = sorted(S.out_of(gamma))
+    G = C.group_of.get(gamma)  # an unknown gamma has no upper link and is rejected below
+    spaces = {c: groups.cosets(G, groups.hom_image(C.psi[c])) for c in S.into(gamma)}
 
-    spaces: dict[str, CosetSpace] = {}
-    for c in ups:
-        spaces[c] = groups.cosets(G, groups.hom_image(C.psi[c]))
+    def shift(rep: int, c: str, d: str) -> int:
+        return spaces[c].rep_of(G.mul(rep, G.inv[C.twist[(c, d)]]))
 
-    center_id = f"v:{gamma}"
-    upper_objects: dict[str, tuple[int, str]] = {}
-    lower_objects: dict[str, str] = {}
-    objects: list[str] = []
-    for c in ups:
-        for rep in spaces[c].reps:
-            oid = f"c:{c}@{rep}"
-            upper_objects[oid] = (rep, c)
-            objects.append(oid)
-    objects.append(center_id)
-    for b in downs:
-        oid = f"b:{b}"
-        lower_objects[oid] = b
-        objects.append(oid)
-    objects.sort()
-
-    mors: list[Morphism] = []
-    fam: dict[str, tuple] = {}
-
-    def add(mid: str, i: str, t: str, family: tuple) -> None:
-        mors.append(Morphism(mid, i, t))
-        fam[mid] = family
-
-    # upper-link-development edges (g K_{i(d)}, c, d)
-    upper_pairs = [(a, b) for (a, b) in S.comp if S.tgt(a) == gamma]
-    for c, d in sorted(upper_pairs):
-        cd = S.comp[(c, d)]
-        tw = C.twist[(c, d)]
-        for rep in spaces[cd].reps:
-            t_rep = spaces[c].rep_of(G.mul(rep, G.inv[tw]))
-            add(
-                f"cd:{_pid(c, d)}@{rep}",
-                f"c:{cd}@{rep}",
-                f"c:{c}@{t_rep}",
-                ("lk_up", rep, c, d),
-            )
-    for c in ups:
-        for rep in spaces[c].reps:
-            add(f"gc:{c}@{rep}", f"c:{c}@{rep}", center_id, ("gamma_c", rep, c))
-    for b in downs:
-        for c in ups:
-            for rep in spaces[c].reps:
-                add(f"bc:{_pid(b, c)}@{rep}", f"c:{c}@{rep}", f"b:{b}", ("b_c", b, rep, c))
-    for b in downs:
-        add(f"bg:{b}", center_id, f"b:{b}", ("b_gamma", b))
-    for b in downs:
-        for a in S.out_of(S.tgt(b)):
-            ab = S.comp[(a, b)]
-            add(f"ab:{_pid(a, b)}", f"b:{b}", f"b:{ab}", ("lk_dn", a, b))
-
-    by_i = defaultdict(list)
-    for m in mors:
-        by_i[m.i].append(m.id)
-    comp: dict[tuple[str, str], str] = {}
-    for v in mors:
-        for uid in by_i[v.t]:
-            fu, fv = fam[uid], fam[v.id]
-            ku, kv = fu[0], fv[0]
-            if ku == "lk_up" and kv == "lk_up":
-                # (c, d) after (cd, d'): composite (c, dd') carrying v's coset
-                _, c, d = fu[1:]
-                rep2, _, d2 = fv[1:]
-                comp[(uid, v.id)] = f"cd:{_pid(c, S.comp[(d, d2)])}@{rep2}"
-            elif ku == "gamma_c" and kv == "lk_up":
-                rep2, c2, d2 = fv[1:]
-                comp[(uid, v.id)] = f"gc:{S.comp[(c2, d2)]}@{rep2}"
-            elif ku == "b_c" and kv == "lk_up":
-                b = fu[1]
-                rep2, c2, d2 = fv[1:]
-                comp[(uid, v.id)] = f"bc:{_pid(b, S.comp[(c2, d2)])}@{rep2}"
-            elif ku == "lk_dn" and kv == "b_c":
-                a, b = fu[1:]
-                _, rep2, c2 = fv[1:]
-                comp[(uid, v.id)] = f"bc:{_pid(S.comp[(a, b)], c2)}@{rep2}"
-            elif ku == "b_gamma" and kv == "gamma_c":
-                b = fu[1]
-                rep2, c2 = fv[1:]
-                comp[(uid, v.id)] = f"bc:{_pid(b, c2)}@{rep2}"
-            elif ku == "lk_dn" and kv == "b_gamma":
-                a, b = fu[1:]
-                comp[(uid, v.id)] = f"bg:{S.comp[(a, b)]}"
-            elif ku == "lk_dn" and kv == "lk_dn":
-                a1 = fu[1]
-                a2, b2 = fv[1:]
-                comp[(uid, v.id)] = f"ab:{_pid(S.comp[(a1, a2)], b2)}"
-            else:
-                raise AssertionError(f"unclassified pair {uid}, {v.id}")
-
-    scwol = Scwol(objects, mors, comp, label=f"{S.label}({gamma}~)")
-    rep = validate_scwol(scwol)
-    assert rep.ok, f"local development at {gamma!r} invalid: {rep.failures[:1]}"
-    return LocalDevelopment(
-        scwol=scwol,
-        source=C,
-        gamma=gamma,
-        center_id=center_id,
-        upper_objects=upper_objects,
-        lower_objects=lower_objects,
-        mor_family=fam,
-        coset_spaces=spaces,
+    scwol = StarScwol(
+        S, gamma, lambda c: spaces[c].reps, shift, f"{S.label}({gamma}~)", sort_objects=True
     )
+    return LocalDevelopment(scwol=scwol, source=C, coset_spaces=spaces)
 
 
 # -- developments -------------------------------------------------------------
@@ -254,8 +152,6 @@ def build_development(C: ComplexOfGroups, phi: MorphismToGroup) -> Development:
         on_objects={oid: o for oid, (_, o) in obj_info.items()},
         on_morphisms={mid: a for mid, (_, a) in mor_info.items()},
     )
-    prep = validate_scwol_morphism(projection)
-    assert prep.ok and is_nondegenerate(projection), "development projection must be non-degenerate"
 
     action: dict[int, tuple[dict[str, str], dict[str, str]]] = {}
     for g in G.elements():
@@ -272,8 +168,6 @@ def build_development(C: ComplexOfGroups, phi: MorphismToGroup) -> Development:
             if omap[m.i] == m.t:
                 raise ActionInversion(f"element {g} sends i({m.id!r}) to t({m.id!r})")
 
-    expected = development_size(C, phi)
-    assert (len(objects), len(mors)) == expected, "size formula mismatch"
     return Development(
         scwol=scwol,
         base=S,
@@ -425,46 +319,28 @@ def build_local_dev_morphism(
         tgt = build_local_development(Gx, phi.f.obj(sigma))
     G = Gx.group_of[phi.f.obj(sigma)]
     phi_sigma = phi.phi_local[sigma]
+    src_star, tgt_star = src.scwol, tgt.scwol
 
-    def upper_image(rep: int, c: str) -> tuple[int, str]:
+    image_rep = {}  # upper object -> rep of its image
+    for oid, (rep, c) in src_star.upper.items():
         fc = phi.f.mor(c)
-        g = G.mul(phi_sigma(rep), phi.phi_edge[c])
-        return tgt.coset_spaces[fc].rep_of(g), fc
+        image_rep[oid] = tgt.coset_spaces[fc].rep_of(G.mul(phi_sigma(rep), phi.phi_edge[c]))
 
-    on_objects = {src.center_id: tgt.center_id}
-    for oid, (rep, c) in src.upper_objects.items():
-        irep, fc = upper_image(rep, c)
-        on_objects[oid] = f"c:{fc}@{irep}"
-    for oid, b in src.lower_objects.items():
-        on_objects[oid] = f"b:{phi.f.mor(b)}"
-
+    on_objects = {src_star.center_id: tgt_star.center_id}
     on_morphisms = {}
-    for mid, fam in src.mor_family.items():
-        kind = fam[0]
-        if kind == "lk_up":
-            rep, c, d = fam[1:]
-            cd = Y.comp[(c, d)]
-            irep, fcd = upper_image(rep, cd)
-            on_morphisms[mid] = f"cd:{_pid(phi.f.mor(c), phi.f.mor(d))}@{irep}"
-        elif kind == "gamma_c":
-            rep, c = fam[1:]
-            irep, fc = upper_image(rep, c)
-            on_morphisms[mid] = f"gc:{fc}@{irep}"
-        elif kind == "b_c":
-            b, rep, c = fam[1:]
-            irep, fc = upper_image(rep, c)
-            on_morphisms[mid] = f"bc:{_pid(phi.f.mor(b), fc)}@{irep}"
-        elif kind == "b_gamma":
-            on_morphisms[mid] = f"bg:{phi.f.mor(fam[1])}"
-        else:  # lk_dn
-            a, b = fam[1:]
-            on_morphisms[mid] = f"ab:{_pid(phi.f.mor(a), phi.f.mor(b))}"
-
-    for mid, img in on_morphisms.items():
-        if img not in tgt.scwol.mor_by_id:
+    for (kind, rep, *parts), xid in src_star.id_of.items():
+        if kind == "center":
+            continue
+        if kind == "upper":
+            rep = image_rep[xid]
+        elif kind in UPPER_SOURCED:
+            rep = image_rep[src_star.src(xid)]
+        img = tgt_star.id_of.get((kind, rep, *map(phi.f.mor, parts)))
+        if img is None:
             raise CompositionUnderdetermined(
-                f"image of local-development morphism {mid!r} does not exist: {img!r}"
+                f"image of local-development cell {xid!r} does not exist"
             )
+        (on_objects if xid in src_star.object_set else on_morphisms)[xid] = img
     out = ScwolMorphism(
         source=src.scwol, target=tgt.scwol, on_objects=on_objects, on_morphisms=on_morphisms
     )

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import groups
-from .complexes import CogMorphism, ComplexOfGroups, MorphismToGroup, validate_cog
-from .errors import TreeNotSpanning, UnknownObject
+from .complexes import CogMorphism, ComplexOfGroups, MorphismToGroup
+from .errors import TreeNotSpanning
 from .groups import FiniteGroup, GroupHom
-from .scwols import StarScwol, is_spanning_tree, star_projection, star_scwol
+from .scwols import UPPER_SOURCED, StarScwol, is_spanning_tree, star_projection, star_scwol
 
 
 @dataclass(frozen=True)
@@ -45,46 +45,33 @@ class LocalCog:
 
 
 def build_local_cog(C: ComplexOfGroups, gamma: str) -> LocalCog:
-    """Assemble the local complex of groups over gamma and validate it."""
-    if gamma not in C.base.object_set:
-        raise UnknownObject(f"object {gamma!r} not in {C.base.label}")
+    """Assemble the local complex of groups over gamma."""
     S = C.base
     star = star_scwol(S, gamma)
     G_gamma = C.group_of[gamma]
+    ident = groups.identity_hom(G_gamma)
 
     group_of: dict[str, FiniteGroup] = {star.center_id: G_gamma}
-    for oid, c in star.upper.items():
+    for oid, (_, c) in star.upper.items():
         group_of[oid] = C.group_of[S.src(c)]
     for oid in star.lower:
         group_of[oid] = G_gamma
 
-    lam: dict[str, GroupHom] = {}
-    for mid, fam in star.mor_family.items():
-        kind = fam[0]
-        if kind == "lk_up":
-            lam[mid] = C.psi[fam[2]]  # psi_d
-        elif kind in ("gamma_c", "b_c"):
-            lam[mid] = C.psi[fam[1] if kind == "gamma_c" else fam[2]]  # psi_c
-        else:  # b_gamma, lk_dn
-            lam[mid] = groups.identity_hom(G_gamma)
+    # psi_d on (c, d), psi_c on gamma*c and b*c: the last part of the family
+    lam: dict[str, GroupHom] = {
+        mid: C.psi[parts[-1]] if kind in UPPER_SOURCED else ident
+        for mid, (kind, _, *parts) in star.mor_family.items()
+    }
 
+    # g_{x,d'} when v = (c', d') and x is the last part of u, else trivial
     twist: dict[tuple[str, str], int] = {}
     for (u, v) in star.comp:
         fu, fv = star.mor_family[u], star.mor_family[v]
-        if fu[0] == "lk_up" and fv[0] == "lk_up":
-            d1, d2 = fu[2], fv[2]
-            twist[(u, v)] = C.twist[(d1, d2)]
-        elif fu[0] in ("gamma_c", "b_c") and fv[0] == "lk_up":
-            c, d = fv[1], fv[2]
-            twist[(u, v)] = C.twist[(c, d)]
-        else:
-            twist[(u, v)] = group_of[star.tgt(u)].identity
+        twist[(u, v)] = C.twist[(fu[-1], fv[-1])] if fv[0] == "lk_up" else G_gamma.identity
 
     cog = ComplexOfGroups(
         base=star, group_of=group_of, psi=lam, twist=twist, label=f"L({S.label}({gamma}))"
     )
-    rep = validate_cog(cog)
-    assert rep.ok, f"local complex over {gamma!r} failed validation: {rep.failures[:1]}"
     return LocalCog(star=star, cog=cog, gamma=gamma, parent=C)
 
 
@@ -102,33 +89,26 @@ def build_theta(L: LocalCog) -> MorphismToGroup:
     star = L.star
     cog = L.cog
     G = L.center_group
-    phi_local: dict[str, GroupHom] = {star.center_id: groups.identity_hom(G)}
-    for oid, c in star.upper.items():
-        phi_local[oid] = cog.psi[f"gc:{c}"]
+    ident = groups.identity_hom(G)
+    gc = {c: star.id_of["gamma_c", None, c] for _, c in star.upper.values()}
+    bg = {b: star.id_of["b_gamma", None, b] for b in star.lower.values()}
+    phi_local: dict[str, GroupHom] = {star.center_id: ident}
+    for oid, (_, c) in star.upper.items():
+        phi_local[oid] = cog.psi[gc[c]]
     for oid in star.lower:
-        phi_local[oid] = groups.identity_hom(G)
+        phi_local[oid] = ident
 
     phi_edge: dict[str, int] = {}
-    for mid, fam in star.mor_family.items():
-        kind = fam[0]
+    for mid, (kind, _, *parts) in star.mor_family.items():
         if kind == "lk_up":
-            c = fam[1]
-            phi_edge[mid] = cog.twist[(f"gc:{c}", mid)]
+            phi_edge[mid] = cog.twist[(gc[parts[0]], mid)]
         elif kind == "b_c":
-            b, c = fam[1], fam[2]
-            phi_edge[mid] = G.inv[cog.twist[(f"bg:{b}", f"gc:{c}")]]
+            phi_edge[mid] = G.inv[cog.twist[(bg[parts[0]], gc[parts[1]])]]
         elif kind == "lk_dn":
-            b = fam[2]
-            phi_edge[mid] = cog.twist[(mid, f"bg:{b}")]
+            phi_edge[mid] = cog.twist[(mid, bg[parts[1]])]
         else:  # gamma_c, b_gamma
             phi_edge[mid] = G.identity
-    theta = MorphismToGroup(source=cog, target=G, phi_local=phi_local, phi_edge=phi_edge)
-    from .complexes import validate_morphism_to_group
-
-    rep = validate_morphism_to_group(theta)
-    assert rep.ok, f"Theta failed validation: {rep.validation.failures[:1]}"
-    assert rep.all_injective, "Theta must be injective on all local groups"
-    return theta
+    return MorphismToGroup(source=cog, target=G, phi_local=phi_local, phi_edge=phi_edge)
 
 
 def build_sigma(L: LocalCog) -> CogMorphism:
@@ -145,27 +125,20 @@ def build_sigma(L: LocalCog) -> CogMorphism:
     phi_local: dict[str, GroupHom] = {
         star.center_id: groups.identity_hom(L.center_group)
     }
-    for oid, c in star.upper.items():
+    for oid, (_, c) in star.upper.items():
         phi_local[oid] = groups.identity_hom(C.group_of[S.src(c)])
     for oid, b in star.lower.items():
         phi_local[oid] = C.psi[b]
 
     phi_edge: dict[str, int] = {}
-    for mid, fam in star.mor_family.items():
-        kind = fam[0]
+    for mid, (kind, _, *parts) in star.mor_family.items():
         if kind == "b_c":
-            b, c = fam[1], fam[2]
-            phi_edge[mid] = C.twist[(b, c)]
+            phi_edge[mid] = C.twist[(parts[0], parts[1])]
         elif kind == "lk_dn":
-            a, b = fam[1], fam[2]
+            a, b = parts
             Gt = C.group_of[S.tgt(S.comp[(a, b)])]
             phi_edge[mid] = Gt.inv[C.twist[(a, b)]]
         else:
             Gt = C.group_of[h.obj(star.tgt(mid))]
             phi_edge[mid] = Gt.identity
-    sigma = CogMorphism(source=L.cog, target=C, f=h, phi_local=phi_local, phi_edge=phi_edge)
-    from .complexes import validate_cog_morphism
-
-    rep = validate_cog_morphism(sigma)
-    assert rep.ok, f"Sigma failed validation: {rep.failures[:1]}"
-    return sigma
+    return CogMorphism(source=L.cog, target=C, f=h, phi_local=phi_local, phi_edge=phi_edge)

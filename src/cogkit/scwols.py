@@ -330,121 +330,132 @@ def lower_link(S: Scwol, gamma: str) -> Scwol:
     return Scwol(objs, mors, comp, label=f"Lk^{gamma}")
 
 
+# morphism families whose source is an upper object; they carry its rep
+UPPER_SOURCED = ("lk_up", "gamma_c", "b_c")
+
+_PREFIX = {
+    "upper": "c", "center": "v", "lower": "b",
+    "lk_up": "cd", "gamma_c": "gc", "b_c": "bc", "b_gamma": "bg", "lk_dn": "ab",
+}
+
+
+def _family_id(family: tuple) -> str:
+    fid = f"{_PREFIX[family[0]]}:{UPPER_EDGE_SEP.join(family[2:])}"
+    return fid if family[1] is None else f"{fid}@{family[1]}"
+
+
+def _composite(S: Scwol, u: tuple, v: tuple) -> tuple:
+    """The family of the composite u v, for the seven pairs with i(u) = t(v).
+
+    The composite keeps v's rep.  When v is an upper-link edge (c', d'), u
+    is one of (c, d), gamma*c, b*c: the composite keeps u's kind and
+    composes u's last part with d'.  When u is a lower-link edge (a, b'), v
+    is one of b*c, b*gamma, (a', b): the composite keeps v's kind and
+    composes a with v's first part.  The seventh pair, b*gamma after
+    gamma*c, gives b*c.
+    """
+    if v[0] == "lk_up":
+        return (u[0], v[1], *u[2:-1], S.comp[(u[-1], v[-1])])
+    if u[0] == "lk_dn":
+        return (v[0], v[1], S.comp[(u[2], v[2])], *v[3:])
+    return ("b_c", v[1], u[2], v[2])
+
+
 class StarScwol(Scwol):
-    """The scwol whose realization is the closed star of an object.
+    """The star of an object, each upper-link object fattened by a fiber.
 
-    Objects: upper-link objects (morphisms c into the center), the center,
-    and lower-link objects (morphisms b out of the center).  Side tables
-    record which family every object and morphism belongs to:
+    Objects are the upper objects ``(rep, c)``, one per morphism c into the
+    center and rep in the fiber over c; the center; and the lower objects b,
+    one per morphism b out of the center.  Every object and morphism has a
+    family ``(kind, rep, *parts)`` whose parts are base ids; rep is None
+    off the upper link:
 
-    - ``("lk_up", c, d)``   edges of the upper link
-    - ``("gamma_c", c)``    center * c
-    - ``("b_c", b, c)``     b * c
-    - ``("b_gamma", b)``    b * center
-    - ``("lk_dn", a, b)``   edges of the lower link
+    - ``("upper", rep, c)``, ``("center", None, gamma)``, ``("lower", None, b)``
+    - ``("lk_up", rep, c, d)``   (rep, cd) -> (shift(rep, c, d), c)
+    - ``("gamma_c", rep, c)``    (rep, c) -> center
+    - ``("b_c", rep, b, c)``     (rep, c) -> b
+    - ``("b_gamma", None, b)``   center -> b
+    - ``("lk_dn", None, a, b)``  b -> ab
+
+    ``fiber(c)`` lists the reps over c, and ``shift(rep, c, d)`` is the rep
+    at the target of the upper-link edge (c, d) that starts at rep over cd.
+    The star of gamma is the case of one-point fibers ``(None,)``; the local
+    development of a complex of groups has coset-rep fibers.  Objects come
+    in star order (upper, center, lower) unless ``sort_objects`` asks for
+    them sorted by id.  ``id_of`` maps every family to its id; ``upper``,
+    ``lower`` and ``mor_family`` map ids back to families by kind.
     """
 
-    def __init__(self, base: Scwol, center: str, objects, morphisms, comp,
-                 center_id: str, upper: dict[str, str], lower: dict[str, str],
-                 mor_family: dict[str, tuple]):
-        super().__init__(objects, morphisms, comp, label=f"{base.label}({center})")
-        self.base = base
-        self.center = center
-        self.center_id = center_id
-        self.upper = dict(upper)  # star object id -> base morphism id c
-        self.lower = dict(lower)  # star object id -> base morphism id b
-        self.mor_family = dict(mor_family)
+    def __init__(self, S: Scwol, gamma: str, fiber, shift, label: str, sort_objects: bool = False):
+        if gamma not in S.object_set:
+            raise UnknownObject(f"object {gamma!r} not in {S.label}")
+        ups, downs = sorted(S.into(gamma)), sorted(S.out_of(gamma))
+        center = ("center", None, gamma)
+        upper = [("upper", rep, c) for c in ups for rep in fiber(c)]
+        lower = [("lower", None, b) for b in downs]
+        arrows: list[tuple[tuple, tuple, tuple]] = []  # (family, i, t)
+        for c in ups:
+            for d in S.into(S.src(c)):
+                cd = S.comp[(c, d)]
+                for r in fiber(cd):
+                    arrows.append((("lk_up", r, c, d), ("upper", r, cd), ("upper", shift(r, c, d), c)))
+        for _, r, c in upper:
+            arrows.append((("gamma_c", r, c), ("upper", r, c), center))
+        for b in downs:
+            for _, r, c in upper:
+                arrows.append((("b_c", r, b, c), ("upper", r, c), ("lower", None, b)))
+        for b in downs:
+            arrows.append((("b_gamma", None, b), center, ("lower", None, b)))
+        for b in downs:
+            for a in S.out_of(S.tgt(b)):
+                ab = S.comp[(a, b)]
+                arrows.append((("lk_dn", None, a, b), ("lower", None, b), ("lower", None, ab)))
+
+        id_of = self.id_of = {f: _family_id(f) for f in upper + [center] + lower}
+        objects = sorted(id_of.values()) if sort_objects else list(id_of.values())
+        mors: list[Morphism] = []
+        self.mor_family: dict[str, tuple] = {}
+        by_t = defaultdict(list)  # object id -> [(family, id)] of the morphisms into it
+        for f, i, t in arrows:
+            m = Morphism(_family_id(f), id_of[i], id_of[t])
+            id_of[f] = m.id
+            self.mor_family[m.id] = f
+            mors.append(m)
+            by_t[m.t].append((f, m.id))
+        comp = {
+            (m.id, vid): id_of[_composite(S, u, v)]
+            for (u, _, _), m in zip(arrows, mors)
+            for v, vid in by_t[m.i]
+        }
+        super().__init__(objects, mors, comp, label=label)
+        self.base = S
+        self.center = gamma
+        self.center_id = id_of[center]
+        self.upper = {id_of[f]: f[1:] for f in upper}  # object id -> (rep, c)
+        self.lower = {id_of[f]: f[2] for f in lower}  # object id -> b
 
 
 def star_scwol(S: Scwol, gamma: str) -> StarScwol:
-    """Build the star of gamma from its five morphism families."""
-    if gamma not in S.object_set:
-        raise UnknownObject(f"object {gamma!r} not in {S.label}")
-    ups = sorted(S.into(gamma))
-    downs = sorted(S.out_of(gamma))
-    center_id = f"v:{gamma}"
-    upper = {f"c:{c}": c for c in ups}
-    lower = {f"b:{b}": b for b in downs}
-    objects = sorted(upper) + [center_id] + sorted(lower)
-
-    mors: list[Morphism] = []
-    fam: dict[str, tuple] = {}
-
-    def add(mid: str, i: str, t: str, family: tuple) -> None:
-        mors.append(Morphism(mid, i, t))
-        fam[mid] = family
-
-    for c in ups:
-        for d in S.into(S.src(c)):
-            cd = S.comp[(c, d)]
-            add(f"cd:{_pair_id(c, d)}", f"c:{cd}", f"c:{c}", ("lk_up", c, d))
-    for c in ups:
-        add(f"gc:{c}", f"c:{c}", center_id, ("gamma_c", c))
-    for b in downs:
-        for c in ups:
-            add(f"bc:{_pair_id(b, c)}", f"c:{c}", f"b:{b}", ("b_c", b, c))
-    for b in downs:
-        add(f"bg:{b}", center_id, f"b:{b}", ("b_gamma", b))
-    for b in downs:
-        for a in S.out_of(S.tgt(b)):
-            ab = S.comp[(a, b)]
-            add(f"ab:{_pair_id(a, b)}", f"b:{b}", f"b:{ab}", ("lk_dn", a, b))
-
-    by_id = {m.id: m for m in mors}
-    comp: dict[tuple[str, str], str] = {}
-    for u in mors:
-        for v in mors:
-            if u.i != v.t:
-                continue
-            fu, fv = fam[u.id], fam[v.id]
-            if fu[0] == "lk_up" and fv[0] == "lk_up":
-                c, d = fu[1], fu[2]
-                d2 = fv[2]
-                comp[(u.id, v.id)] = f"cd:{_pair_id(c, S.comp[(d, d2)])}"
-            elif fu[0] == "gamma_c" and fv[0] == "lk_up":
-                comp[(u.id, v.id)] = f"gc:{S.comp[(fv[1], fv[2])]}"
-            elif fu[0] == "b_c" and fv[0] == "lk_up":
-                comp[(u.id, v.id)] = f"bc:{_pair_id(fu[1], S.comp[(fv[1], fv[2])])}"
-            elif fu[0] == "lk_dn" and fv[0] == "b_c":
-                a, b = fu[1], fu[2]
-                comp[(u.id, v.id)] = f"bc:{_pair_id(S.comp[(a, b)], fv[2])}"
-            elif fu[0] == "b_gamma" and fv[0] == "gamma_c":
-                comp[(u.id, v.id)] = f"bc:{_pair_id(fu[1], fv[1])}"
-            elif fu[0] == "lk_dn" and fv[0] == "b_gamma":
-                a, b = fu[1], fu[2]
-                comp[(u.id, v.id)] = f"bg:{S.comp[(a, b)]}"
-            elif fu[0] == "lk_dn" and fv[0] == "lk_dn":
-                a1 = fu[1]
-                a2, b2 = fv[1], fv[2]
-                comp[(u.id, v.id)] = f"ab:{_pair_id(S.comp[(a1, a2)], b2)}"
-            else:
-                raise AssertionError(f"unclassified composable pair {u.id}, {v.id}")
-    for key, val in comp.items():
-        assert val in by_id, f"composite {val} missing for {key}"
-    return StarScwol(S, gamma, objects, mors, comp, center_id, upper, lower, fam)
+    """The star of gamma: the five families over one-point fibers."""
+    return StarScwol(S, gamma, lambda c: (None,), lambda rep, c, d: rep, f"{S.label}({gamma})")
 
 
 def star_projection(star: StarScwol) -> ScwolMorphism:
     """The functor from the star back into the ambient scwol."""
     S = star.base
     on_objects = {star.center_id: star.center}
-    for oid, c in star.upper.items():
+    for oid, (_, c) in star.upper.items():
         on_objects[oid] = S.src(c)
     for oid, b in star.lower.items():
         on_objects[oid] = S.tgt(b)
     on_morphisms = {}
-    for mid, fam in star.mor_family.items():
-        kind = fam[0]
-        if kind == "lk_up":
-            on_morphisms[mid] = fam[2]  # (c, d) -> d
-        elif kind == "gamma_c":
-            on_morphisms[mid] = fam[1]  # gamma*c -> c
-        elif kind == "b_c":
-            on_morphisms[mid] = S.comp[(fam[1], fam[2])]  # b*c -> bc
-        elif kind == "b_gamma":
-            on_morphisms[mid] = fam[1]  # b*gamma -> b
+    for mid, (kind, _, *parts) in star.mor_family.items():
+        if kind == "b_c":
+            on_morphisms[mid] = S.comp[(parts[0], parts[1])]  # b*c -> bc
+        elif kind in ("lk_up", "gamma_c"):
+            on_morphisms[mid] = parts[-1]  # (c, d) -> d, gamma*c -> c
         else:
-            on_morphisms[mid] = fam[1]  # (a, b) -> a
+            on_morphisms[mid] = parts[0]  # b*gamma -> b, (a, b) -> a
     return ScwolMorphism(source=star, target=S, on_objects=on_objects, on_morphisms=on_morphisms)
 
 

@@ -41,7 +41,13 @@ from cogkit.presentations import (
     pi1_presentation,
     simplify,
 )
-from cogkit.scwols import maximal_tree, scwol_isomorphic, validate_scwol_morphism
+from cogkit.scwols import (
+    is_nondegenerate,
+    maximal_tree,
+    scwol_isomorphic,
+    validate_scwol,
+    validate_scwol_morphism,
+)
 
 CORPUS_SEED = 20260811
 CORPUS_SIZE = 200
@@ -50,6 +56,7 @@ MORPHISM_COUNT = 100
 ISO_BUDGET = 10**6
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +201,7 @@ def test_criterion_4_development_of_local_cog(local_data):
         assert L.center_group.order <= 24
         D = build_development(L.cog, theta)
         local_dev = build_local_development(entry.complex, L.gamma)
+        assert validate_scwol(local_dev.scwol).ok, (entry.complex.label, L.gamma)
         iso = scwol_isomorphic(D.scwol, local_dev.scwol, budget=ISO_BUDGET)
         assert iso is not None, (entry.complex.label, L.gamma)
         assert validate_scwol_morphism(iso).ok
@@ -299,6 +307,7 @@ def test_criterion_9_development_actions(local_data, corpus, seg23, seg23_to_z6)
     for D in built:
         rep = check_action(D)
         assert rep.ok, rep.failures[:1]
+        assert validate_scwol_morphism(D.projection).ok and is_nondegenerate(D.projection)
         orbits = {frozenset(D.action[g][0][o] for g in D.group.elements()) for o in D.scwol.objects}
         assert len(orbits) == len(D.base.objects)
         for oid, (_, o) in D.obj_info.items():
@@ -348,3 +357,12 @@ def test_criterion_10_cli_determinism(tmp_path):
     for (name, blob1), (_, blob2) in zip(first, second):
         assert blob1 == blob2, f"output {name} differs between runs"
     _passline(10, f"two CLI runs byte-identical across {len(first)} artifacts")
+
+
+def test_cli_artifacts_match_golden(tmp_path):
+    """Every criterion-10 artifact is byte-identical to its copy in tests/golden/cli."""
+    outputs = _run_cli_suite(tmp_path)
+    golden = sorted(str(p.relative_to(GOLDEN_CLI)) for p in GOLDEN_CLI.rglob("*") if p.is_file())
+    assert [name for name, _ in outputs] == golden
+    for name, blob in outputs:
+        assert blob == (GOLDEN_CLI / name).read_bytes(), f"artifact {name} differs from its golden copy"

@@ -233,7 +233,8 @@ def test_coboundary_round_trip(star_s3, triangle_cog, seg23):
     rng = random.Random(3)
     for C in (star_s3, triangle_cog, seg23):
         g = {m.id: rng.randrange(C.group_of[m.t].order) for m in C.base.morphisms}
-        newC, _ = coboundary(C, g)
+        newC, iso = coboundary(C, g)
+        assert validate_cog(newC).ok and validate_cog_morphism(iso).ok
         ginv = {m.id: C.group_of[m.t].inv[g[m.id]] for m in C.base.morphisms}
         back, _ = coboundary(newC, ginv)
         assert back.twist == C.twist

@@ -214,3 +214,30 @@ def test_cli_gen_corpus_deterministic(tmp_path):
 
 def test_cli_unresolved_reference(capsys):
     assert run_cli("theta", "--dir", FIXTURES, "--cog", "missing", "--vertex", "g") == 2
+
+
+def test_cli_unknown_vertex_exits_2(capsys):
+    assert run_cli("local-cog", "--dir", FIXTURES, "--cog", "star-s3", "--vertex", "nope") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_missing_pres_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli("abel", "--pres", missing, "--dir", FIXTURES) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run_cli("export-pres", "--pres", missing, "--dir", FIXTURES) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_missing_tree_file_exits_2(tmp_path, capsys):
+    tree = f"file:{tmp_path / 'missing.json'}"
+    assert run_cli("pi1", "--dir", FIXTURES, "--cog", "seg23", "--tree", tree) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_budget_below_one_exits_2(capsys):
+    pair = (FIXTURES / "seg.json", FIXTURES / "circle.json")
+    for budget in (0, -1):
+        assert run_cli("iso", *pair, "--dir", FIXTURES, "--budget", budget) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert run_cli("iso", *pair, "--dir", FIXTURES, "--budget", 1) == 1

@@ -36,7 +36,7 @@ def test_local_cog_trivial(two_simplex):
 def test_local_cog_star_s3(star_s3):
     L = build_local_cog(star_s3, "g")
     star = L.star
-    assert set(star.upper.values()) == {"c"}
+    assert set(star.upper.values()) == {(None, "c")}
     [(upper_id, _)] = star.upper.items()
     assert L.cog.group_of[upper_id].order == 2
     assert L.cog.group_of[star.center_id].order == 6
@@ -95,7 +95,7 @@ def test_theta_reads_nontrivial_twist_verbatim(triangle_cog):
     L = build_local_cog(triangle_cog, gamma)
     theta = build_theta(L)
     mid = next(
-        m for m, fam in L.star.mor_family.items() if fam[0] == "lk_up" and fam[1:] == (c, d)
+        m for m, fam in L.star.mor_family.items() if fam == ("lk_up", None, c, d)
     )
     assert theta.phi_edge[mid] == 1
 
@@ -145,7 +145,7 @@ def test_sigma_reads_ambient_twists(triangle_cog):
     L = build_local_cog(triangle_cog, gamma)
     sigma = build_sigma(L)
     mid = next(
-        m for m, fam in L.star.mor_family.items() if fam[0] == "b_c" and fam[1:] == (b, c)
+        m for m, fam in L.star.mor_family.items() if fam == ("b_c", None, b, c)
     )
     assert sigma.phi_edge[mid] == 1
     assert validate_cog_morphism(sigma).ok
