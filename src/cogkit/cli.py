@@ -1,9 +1,22 @@
 """Batch front-end: validate fixtures, run the constructions, emit artifacts.
 
-Exit codes: 0 success or positive verdict, 1 negative verdict (with a
-machine-readable witness on stdout or in the emitted file), 2 malformed
-input or unresolved reference.  All output is deterministic byte-for-byte:
-JSON is emitted with sorted keys and all iteration orders are fixed.
+``COMMANDS`` lists each command with its handler and the options that
+handler reads; a command accepts no other option.  Every command takes
+``--dir``, the workspace directory, which is read only when the command
+first looks a document up by id.  Input files (``validate``, ``iso``,
+``--pres``, ``--tree file:``) go through the same readers in ``io``.
+
+Exit codes:
+
+- 0: success or positive verdict;
+- 1: negative verdict, with a machine-readable witness on stdout or in the
+  emitted file;
+- 2: malformed input, unresolved reference or broken precondition (any
+  ``CogkitError`` but the one below), and command-line usage errors;
+- 3: a search exhausted its budget (``SearchBudgetExceeded``) before a verdict.
+
+All output is deterministic byte-for-byte: JSON is emitted with sorted keys
+and all iteration orders are fixed.
 """
 
 from __future__ import annotations
@@ -12,20 +25,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Union
 
 from . import io as cio
 from .corpus import build_corpus
 from .develop import build_development, build_local_development
-from .errors import (
-    CogkitError,
-    ParseError,
-    SearchBudgetExceeded,
-    UnknownObject,
-    UnresolvedReference,
-)
+from .errors import CogkitError, ParseError, SearchBudgetExceeded, UnresolvedReference
 from .immersions import check_immersion
 from .local import build_local_cog, build_sigma, build_theta
-from .presentations import abelianization, export, parse_structured, pi1_presentation
+from .presentations import abelianization, export, pi1_presentation
 from .scwols import (
     DEFAULT_ISO_BUDGET,
     geometric_realization,
@@ -41,46 +49,15 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}")
-
-
-def _read_json(path: str):
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-
-
-def _load_document(path: str) -> dict:
-    payload = _read_json(path)
-    if not isinstance(payload, dict) or "schema" not in payload:
-        raise ParseError(f"{path}: not a schema-tagged document")
-    return payload
-
-
-def _scwol_from_path(ws: cio.Workspace, path: str):
-    payload = _load_document(path)
-    schema = payload["schema"]
-    if schema.startswith("development/"):
-        return cio.scwol_from_json(payload["scwol"])
-    if schema.startswith("scwol/"):
-        return cio.scwol_from_json(payload)
-    raise ParseError(f"{path}: expected a scwol or development document")
-
-
 def cmd_validate(args, ws: cio.Workspace) -> int:
+    documents = ws.scan()
     status = 0
     for path in args.files:
-        payload = _load_document(path)
+        payload = cio.read_document(path)
         name = payload.get("id", Path(path).stem)
-        local = cio.Workspace(root=ws.root, documents={**ws.documents, name: payload})
         try:
-            local.resolve(name)
-        except ParseError as exc:
+            cio.Workspace(root=ws.root, documents={**documents, name: payload}).resolve(name)
+        except CogkitError as exc:
             print(f"INVALID {path}: {exc}")
             status = 1
             continue
@@ -141,26 +118,22 @@ def cmd_develop(args, ws) -> int:
 
 
 def _tree_for(args, C) -> tuple[str, ...]:
-    spec = args.tree or "bfs"
-    if spec == "bfs":
+    if args.tree == "bfs":
         return maximal_tree(C.base)
-    if spec.startswith("file:"):
-        return tuple(_read_json(spec[5:]))
-    raise ParseError(f"unknown tree selector {spec!r} (use 'bfs' or 'file:PATH')")
+    if args.tree.startswith("file:"):
+        return cio.read_tree(args.tree[5:])
+    raise ParseError(f"unknown tree selector {args.tree!r} (use 'bfs' or 'file:PATH')")
 
 
 def cmd_pi1(args, ws) -> int:
     C = _resolve_cog(args, ws)
-    P = pi1_presentation(C, _tree_for(args, C))
-    fmt = args.format or "json"
-    fmt = {"json": "structured"}.get(fmt, fmt)
-    _emit(export(P, fmt), args.emit)
+    _emit(export(pi1_presentation(C, _tree_for(args, C)), args.format), args.emit)
     return 0
 
 
 def cmd_abel(args, ws) -> int:
     if args.pres:
-        P = parse_structured(_read_text(args.pres))
+        P = cio.presentation_from_json(cio.read_document(args.pres))
     else:
         C = _resolve_cog(args, ws)
         P = pi1_presentation(C, _tree_for(args, C))
@@ -171,10 +144,8 @@ def cmd_abel(args, ws) -> int:
 def cmd_export_pres(args, ws) -> int:
     if not args.pres:
         raise UnresolvedReference("--pres is required")
-    P = parse_structured(_read_text(args.pres))
-    fmt = args.format or "plain"
-    fmt = {"json": "structured"}.get(fmt, fmt)
-    _emit(export(P, fmt), args.emit)
+    P = cio.presentation_from_json(cio.read_document(args.pres))
+    _emit(export(P, args.format), args.emit)
     return 0
 
 
@@ -202,13 +173,19 @@ def cmd_immerse(args, ws) -> int:
     return 0 if rep.overall else 1
 
 
+def _scwol_file(ws: cio.Workspace, path: str):
+    doc = cio.read_document(path)
+    if not doc["schema"].startswith(("scwol/", "development/")):
+        raise ParseError(f"{path}: expected a scwol or development document")
+    return ws.parse(doc)
+
+
 def cmd_iso(args, ws) -> int:
-    S1 = _scwol_from_path(ws, args.files[0])
-    S2 = _scwol_from_path(ws, args.files[1])
-    budget = DEFAULT_ISO_BUDGET if args.budget is None else args.budget
-    if budget < 1:
-        raise ParseError(f"--budget must be at least 1, got {budget}")
-    iso = scwol_isomorphic(S1, S2, budget=budget)
+    S1 = _scwol_file(ws, args.files[0])
+    S2 = _scwol_file(ws, args.files[1])
+    if args.budget < 1:
+        raise ParseError(f"--budget must be at least 1, got {args.budget}")
+    iso = scwol_isomorphic(S1, S2, budget=args.budget)
     if iso is None:
         _emit(cio.dumps({"schema": "iso-witness/1", "isomorphic": False}), args.emit)
         return 1
@@ -225,22 +202,18 @@ def cmd_iso(args, ws) -> int:
 def cmd_realize(args, ws) -> int:
     if not args.scwol:
         raise UnresolvedReference("--scwol is required")
-    S = ws.scwol(args.scwol)
-    ex = geometric_realization(S)
-    fmt = args.format or "json"
-    if fmt == "off":
+    ex = geometric_realization(ws.scwol(args.scwol))
+    if args.format == "off":
         _emit(cio.realization_to_off(ex), args.emit)
-    elif fmt == "json":
-        _emit(cio.dumps(cio.realization_to_json(ex, id=f"{args.scwol}.realization")), args.emit)
     else:
-        raise ParseError(f"unsupported realization format {fmt!r}")
+        _emit(cio.dumps(cio.realization_to_json(ex, id=f"{args.scwol}.realization")), args.emit)
     return 0
 
 
 def cmd_gen_corpus(args, ws) -> int:
-    out = Path(args.out or ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    entries = build_corpus(seed=args.seed or 0, count=args.count)
+    entries = build_corpus(seed=args.seed, count=args.count)
     for k, entry in enumerate(entries):
         cog_id = f"corpus{k:03d}"
         (out / f"{cog_id}.json").write_text(cio.dumps(cio.cog_to_json(entry.complex, id=cog_id)))
@@ -250,20 +223,44 @@ def cmd_gen_corpus(args, ws) -> int:
     return 0
 
 
+# every command also takes --dir
+OPTIONS = {
+    "dir": {"default": ".", "help": "workspace directory of JSON documents"},
+    "cog": {"help": "complex-of-groups id"},
+    "scwol": {"help": "scwol id"},
+    "mor": {"help": "morphism id"},
+    "vertex": {"help": "object of the base scwol"},
+    "tree": {"default": "bfs", "help": "spanning tree: 'bfs' or 'file:PATH'"},
+    "emit": {"help": "write output to this path instead of stdout"},
+    "pres": {"help": "presentation file"},
+    "budget": {"type": int, "default": DEFAULT_ISO_BUDGET, "help": "search node cap"},
+    "seed": {"type": int, "default": 0, "help": "seed for randomized corpus generation"},
+    "count": {"type": int, "default": 10, "help": "corpus size"},
+    "out": {"default": ".", "help": "output directory"},
+}
+
+
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace, cio.Workspace], int]
+    options: tuple[str, ...] = ()
+    formats: tuple[str, ...] = ()  # --format choices, the default first
+    files: Union[int, str, None] = None  # nargs of the positional input files
+
+
 COMMANDS = {
-    "validate": cmd_validate,
-    "local-cog": cmd_local_cog,
-    "theta": cmd_theta,
-    "sigma": cmd_sigma,
-    "local-dev": cmd_local_dev,
-    "develop": cmd_develop,
-    "pi1": cmd_pi1,
-    "abel": cmd_abel,
-    "export-pres": cmd_export_pres,
-    "immerse": cmd_immerse,
-    "iso": cmd_iso,
-    "realize": cmd_realize,
-    "gen-corpus": cmd_gen_corpus,
+    "validate": Command(cmd_validate, files="+"),
+    "local-cog": Command(cmd_local_cog, ("cog", "vertex", "emit")),
+    "theta": Command(cmd_theta, ("cog", "vertex", "emit")),
+    "sigma": Command(cmd_sigma, ("cog", "vertex", "emit")),
+    "local-dev": Command(cmd_local_dev, ("cog", "vertex", "emit")),
+    "develop": Command(cmd_develop, ("mor", "cog", "emit")),
+    "pi1": Command(cmd_pi1, ("cog", "tree", "emit"), formats=("json", "cas", "plain")),
+    "abel": Command(cmd_abel, ("pres", "cog", "tree", "emit")),
+    "export-pres": Command(cmd_export_pres, ("pres", "emit"), formats=("plain", "cas", "json")),
+    "immerse": Command(cmd_immerse, ("mor", "emit")),
+    "iso": Command(cmd_iso, ("budget", "emit"), files=2),
+    "realize": Command(cmd_realize, ("scwol", "emit"), formats=("json", "off")),
+    "gen-corpus": Command(cmd_gen_corpus, ("seed", "count", "out")),
 }
 
 
@@ -274,50 +271,24 @@ def build_parser() -> argparse.ArgumentParser:
         "developments, presentations, immersion checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, files: int = 0):
-        p.add_argument("--dir", default=".", help="workspace directory of JSON documents")
-        p.add_argument("--cog", help="complex-of-groups id")
-        p.add_argument("--scwol", help="scwol id")
-        p.add_argument("--mor", help="morphism id")
-        p.add_argument("--vertex", help="object of the base scwol")
-        p.add_argument("--tree", help="spanning tree: 'bfs' or 'file:PATH'")
-        p.add_argument("--emit", help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=["json", "off", "cas", "plain"], help="output format")
-        p.add_argument("--seed", type=int, help="seed for randomized corpus generation")
-        p.add_argument("--budget", type=int, help="search node cap")
-        p.add_argument("--pres", help="presentation file (for abel / export-pres)")
-        p.add_argument("--count", type=int, default=10, help="corpus size (gen-corpus)")
-        p.add_argument("--out", help="output directory (gen-corpus)")
-        if files:
-            p.add_argument("files", nargs=files if files > 0 else "+", help="input files")
-
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
-        if name == "validate":
-            common(p, files=-1)
-        elif name == "iso":
-            common(p, files=2)
-        else:
-            common(p)
+        for option in ("dir", *command.options):
+            p.add_argument(f"--{option}", **OPTIONS[option])
+        if command.formats:
+            p.add_argument("--format", choices=command.formats, default=command.formats[0])
+        if command.files:
+            p.add_argument("files", nargs=command.files, help="input files")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        ws = cio.Workspace.load(args.dir) if Path(args.dir).is_dir() else cio.Workspace(root=Path(args.dir))
-        return COMMANDS[args.command](args, ws)
-    except (ParseError, UnresolvedReference, UnknownObject) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return COMMANDS[args.command].run(args, cio.Workspace(root=Path(args.dir)))
     except CogkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, SearchBudgetExceeded) else 2
 
 
 if __name__ == "__main__":

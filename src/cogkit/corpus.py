@@ -25,6 +25,7 @@ from .complexes import (
     compose_to_group,
     identity_cog_morphism,
 )
+from .errors import DirectedCycle
 from .groups import FiniteGroup
 from .scwols import Morphism, Scwol, ScwolMorphism, scwol_from_poset, scwol_from_simplicial_complex
 
@@ -164,7 +165,8 @@ def random_subgroup_complex(
                 order.append(o)
                 placed.add(o)
                 progressed = True
-        assert progressed, "base scwol is not acyclic"
+        if not progressed:
+            raise DirectedCycle(f"base scwol {S.label!r} has a directed cycle")
 
     elements: dict[str, tuple[int, ...]] = {}
     for o in order:

@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import groups
 from .complexes import CogMorphism, ComplexOfGroups, MorphismToGroup
-from .errors import ActionInversion, CompositionUnderdetermined, UnknownObject
+from .errors import CompositionUnderdetermined, UnknownObject
 from .groups import CosetSpace, FiniteGroup
 from .scwols import (
     UPPER_SOURCED,
@@ -23,8 +23,6 @@ from .scwols import (
     ScwolMorphism,
     StarScwol,
     ValidationReport,
-    validate_scwol,
-    validate_scwol_morphism,
 )
 
 
@@ -140,11 +138,6 @@ def build_development(C: ComplexOfGroups, phi: MorphismToGroup) -> Development:
             comp[(u_id, v_id)] = f"{ab}@{spaces[S.src(ab)].rep_of(rep_v)}"
 
     scwol = Scwol(objects, mors, comp, label=f"D({S.label})")
-    rep = validate_scwol(scwol)
-    if not rep.ok:
-        raise CompositionUnderdetermined(
-            f"development composition inconsistent: {rep.failures[0].message}"
-        )
 
     projection = ScwolMorphism(
         source=scwol,
@@ -162,11 +155,6 @@ def build_development(C: ComplexOfGroups, phi: MorphismToGroup) -> Development:
         for mid, (rep, a) in mor_info.items():
             mmap[mid] = f"{a}@{spaces[S.src(a)].rep_of(G.mul(g, rep))}"
         action[g] = (omap, mmap)
-    for g in G.elements():
-        omap, mmap = action[g]
-        for m in mors:
-            if omap[m.i] == m.t:
-                raise ActionInversion(f"element {g} sends i({m.id!r}) to t({m.id!r})")
 
     return Development(
         scwol=scwol,
@@ -341,16 +329,9 @@ def build_local_dev_morphism(
                 f"image of local-development cell {xid!r} does not exist"
             )
         (on_objects if xid in src_star.object_set else on_morphisms)[xid] = img
-    out = ScwolMorphism(
+    return ScwolMorphism(
         source=src.scwol, target=tgt.scwol, on_objects=on_objects, on_morphisms=on_morphisms
     )
-    rep = validate_scwol_morphism(out)
-    if not rep.ok:
-        first = rep.failures[0]
-        raise CompositionUnderdetermined(
-            f"Phi_sigma at {sigma!r} is not a scwol morphism: {first.message}"
-        )
-    return out
 
 
 def local_dev_morphism_injectivity(

@@ -2,7 +2,10 @@
 
 Validation *verdicts* (cocycle failures, morphism-law failures, ...) are not
 exceptions; they are returned as reports carrying named witnesses.  Exceptions
-are reserved for inputs that violate a precondition or for exhausted budgets.
+are reserved for inputs that violate a precondition or for exhausted budgets,
+and the CLI maps them to exit codes accordingly: ``SearchBudgetExceeded``
+exits 3, every other ``CogkitError`` exits 2, and neither is ever read as a
+negative verdict (exit 1).
 """
 
 
@@ -50,6 +53,10 @@ class Disconnected(CogkitError):
     pass
 
 
+class DirectedCycle(CogkitError):
+    pass
+
+
 class SearchBudgetExceeded(CogkitError):
     pass
 
@@ -67,10 +74,6 @@ class RelatorNotKilled(CogkitError):
 
 
 class UnknownFormat(CogkitError):
-    pass
-
-
-class ActionInversion(CogkitError):
     pass
 
 

@@ -14,7 +14,13 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import groups
 from .complexes import CogMorphism, ComplexOfGroups, MorphismToGroup
-from .errors import RelatorNotKilled, TreeConditionViolated, TreeNotSpanning, UnknownFormat
+from .errors import (
+    RelatorNotKilled,
+    SourceTargetMismatch,
+    TreeConditionViolated,
+    TreeNotSpanning,
+    UnknownFormat,
+)
 from .groups import FiniteGroup
 from .scwols import is_spanning_tree
 
@@ -147,7 +153,8 @@ def induced_hom_to_group(phi: MorphismToGroup, P: GroupPresentation) -> Presenta
 
 
 def hom_image_subgroup(hom: PresentationHom) -> tuple[int, ...]:
-    assert isinstance(hom.target, FiniteGroup) and hom.element_images is not None
+    if not isinstance(hom.target, FiniteGroup) or hom.element_images is None:
+        raise SourceTargetMismatch("the image subgroup needs a hom into a finite group")
     return groups.subgroup_closure(hom.target, hom.element_images)
 
 
@@ -377,7 +384,7 @@ def export(P: GroupPresentation, fmt: str) -> str:
             lines.append("  " + word_str(P, w))
         lines.append("tree: " + ", ".join(P.tree))
         return "\n".join(lines) + "\n"
-    if fmt in ("cas", "cas-fp-group"):
+    if fmt == "cas":
         n = len(P.generators)
         names = [f"g{k + 1}" for k in range(n)]
         lines = ["# free-group presentation script (GAP syntax)"]
@@ -392,7 +399,7 @@ def export(P: GroupPresentation, fmt: str) -> str:
         lines.append("rels := [" + ", ".join(rel_terms) + "];")
         lines.append("G := F / rels;")
         return "\n".join(lines) + "\n"
-    if fmt in ("structured", "json"):
+    if fmt == "json":
         payload = {
             "schema": "presentation/1",
             "label": P.label,
@@ -409,16 +416,3 @@ def word_str(P: GroupPresentation, w: Word) -> str:
         return "1"
     return " ".join(P.gen_name(g) + ("" if s > 0 else "^-1") for g, s in w)
 
-
-def parse_structured(text: str) -> GroupPresentation:
-    payload = json.loads(text)
-    if payload.get("schema") != "presentation/1":
-        raise UnknownFormat("not a presentation/1 document")
-    gens = tuple(tuple(g) for g in payload["generators"])
-    relators = tuple(tuple((int(g), int(s)) for g, s in w) for w in payload["relators"])
-    return GroupPresentation(
-        generators=gens,
-        relators=relators,
-        tree=tuple(payload["tree"]),
-        label=payload.get("label", "pi1"),
-    )

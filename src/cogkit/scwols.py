@@ -213,13 +213,13 @@ class ScwolMorphism:
         return self.on_morphisms[m]
 
 
-def validate_scwol_morphism(f: ScwolMorphism, require_nondegenerate: bool = False) -> ValidationReport:
-    """Functoriality check; i-fiber bijectivity only when requested.
+def validate_scwol_morphism(f: ScwolMorphism) -> ValidationReport:
+    """Functoriality check.
 
     The bijectivity of ``{a : i(a)=s} -> {a' : i(a')=f(s)}`` holds for base
     maps of morphisms of complexes of groups and for development projections,
     but star projections are honest functors that may miss outgoing morphisms
-    of the ambient scwol, so it is opt-in here.
+    of the ambient scwol, so it is checked separately, by ``is_nondegenerate``.
     """
     S, X = f.source, f.target
     failures: list[Failure] = []
@@ -243,8 +243,6 @@ def validate_scwol_morphism(f: ScwolMorphism, require_nondegenerate: bool = Fals
                 failures.append(
                     Failure("CompositionNotPreserved", (a, b), f"f(ab) != f(a)f(b) at pair {(a, b)}")
                 )
-        if require_nondegenerate:
-            failures.extend(nondegeneracy_failures(f))
     return ValidationReport(not failures, tuple(failures))
 
 

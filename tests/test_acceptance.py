@@ -9,7 +9,10 @@ counting, sympy-free arithmetic) — never by the code path under test.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from cogkit.complexes import (
 from cogkit.corpus import build_corpus, build_morphism_corpus
 from cogkit.develop import (
     build_development,
+    build_local_dev_morphism,
     build_local_development,
     check_action,
     development_size,
@@ -57,6 +61,7 @@ ISO_BUDGET = 10**6
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +241,10 @@ def test_criterion_6_coset_criterion_equivalence():
             fs = phi.f.obj(sigma)
             if fs not in tgt_cache:
                 tgt_cache[fs] = build_local_development(phi.target, fs)
-            inj = local_dev_morphism_injectivity(phi, sigma, tgt=tgt_cache[fs])
+            src = build_local_development(phi.source, sigma)
+            Phi = build_local_dev_morphism(phi, sigma, src=src, tgt=tgt_cache[fs])
+            assert validate_scwol_morphism(Phi).ok, (phi.source.label, sigma)
+            inj = local_dev_morphism_injectivity(phi, sigma, src=src, tgt=tgt_cache[fs])
             coset_verdict = all(v for (j, s), v in coset.items() if s == sigma)
             if inj["upper_link"] != coset_verdict:
                 disagreements += 1
@@ -305,6 +313,7 @@ def test_criterion_9_development_actions(local_data, corpus, seg23, seg23_to_z6)
         built.append(build_development(entry.complex, entry.to_ambient))
     built.append(build_development(seg23, seg23_to_z6))
     for D in built:
+        assert validate_scwol(D.scwol).ok
         rep = check_action(D)
         assert rep.ok, rep.failures[:1]
         assert validate_scwol_morphism(D.projection).ok and is_nondegenerate(D.projection)
@@ -319,35 +328,49 @@ def test_criterion_9_development_actions(local_data, corpus, seg23, seg23_to_z6)
     _passline(9, f"action checks pass on {len(built)} developments ({elapsed:.1f}s)")
 
 
-def _run_cli_suite(outdir: Path) -> list[tuple[str, bytes]]:
-    """A fixed batch of CLI invocations over the fixture directory."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    invocations = [
-        ["local-cog", "--cog", "star-s3", "--vertex", "g", "--emit", "lcog.json"],
-        ["theta", "--cog", "star-s3", "--vertex", "g", "--emit", "theta.json"],
-        ["sigma", "--cog", "star-s3", "--vertex", "g", "--emit", "sigma.json"],
-        ["local-dev", "--cog", "star-s3", "--vertex", "g", "--emit", "ldev.json"],
-        ["local-dev", "--cog", "seg23", "--vertex", "v0", "--emit", "ldev2.json"],
-        ["develop", "--mor", "to-z6", "--emit", "dev.json"],
-        ["pi1", "--cog", "seg23", "--emit", "pi1.json"],
-        ["pi1", "--cog", "tri-z2", "--emit", "pi1tri.json"],
-        ["abel", "--cog", "circle-triv", "--emit", "abel.json"],
-        ["export-pres", "--pres", "pi1.json", "--format", "cas", "--emit", "pres.g"],
-        ["realize", "--scwol", "delta2", "--format", "off", "--emit", "delta2.off"],
-        ["realize", "--scwol", "circle", "--emit", "circle.json"],
-        ["gen-corpus", "--seed", "3", "--count", "3", "--out", "corpus"],
-    ]
-    outputs = []
-    for argv in invocations:
+# the criterion-10 batch over the fixture directory; emitted paths are relative to an output directory
+CLI_SUITE = [
+    ["local-cog", "--cog", "star-s3", "--vertex", "g", "--emit", "lcog.json"],
+    ["theta", "--cog", "star-s3", "--vertex", "g", "--emit", "theta.json"],
+    ["sigma", "--cog", "star-s3", "--vertex", "g", "--emit", "sigma.json"],
+    ["local-dev", "--cog", "star-s3", "--vertex", "g", "--emit", "ldev.json"],
+    ["local-dev", "--cog", "seg23", "--vertex", "v0", "--emit", "ldev2.json"],
+    ["develop", "--mor", "to-z6", "--emit", "dev.json"],
+    ["pi1", "--cog", "seg23", "--emit", "pi1.json"],
+    ["pi1", "--cog", "tri-z2", "--emit", "pi1tri.json"],
+    ["abel", "--cog", "circle-triv", "--emit", "abel.json"],
+    ["export-pres", "--pres", "pi1.json", "--format", "cas", "--emit", "pres.g"],
+    ["realize", "--scwol", "delta2", "--format", "off", "--emit", "delta2.off"],
+    ["realize", "--scwol", "circle", "--emit", "circle.json"],
+    ["gen-corpus", "--seed", "3", "--count", "3", "--out", "corpus"],
+]
+
+
+def _cli_suite_argv(outdir: Path) -> list[list[str]]:
+    out = []
+    for argv in CLI_SUITE:
         full = list(argv) + ["--dir", str(FIXTURES)]
-        # emitted paths are relative to outdir
         full = [str(outdir / a) if a.endswith((".json", ".g", ".off")) and "--" not in a else a for a in full]
-        full = [str(outdir / "corpus") if a == "corpus" else a for a in full]
-        assert cli_main(full) == 0, argv
-    for path in sorted(outdir.rglob("*")):
-        if path.is_file():
-            outputs.append((str(path.relative_to(outdir)), path.read_bytes()))
-    return outputs
+        out.append([str(outdir / "corpus") if a == "corpus" else a for a in full])
+    return out
+
+
+def _artifacts(outdir: Path) -> list[tuple[str, bytes]]:
+    return [(str(p.relative_to(outdir)), p.read_bytes()) for p in sorted(outdir.rglob("*")) if p.is_file()]
+
+
+def _run_cli_suite(outdir: Path) -> list[tuple[str, bytes]]:
+    outdir.mkdir(parents=True, exist_ok=True)
+    for argv in _cli_suite_argv(outdir):
+        assert cli_main(argv) == 0, argv
+    return _artifacts(outdir)
+
+
+def _assert_golden(outputs: list[tuple[str, bytes]]) -> None:
+    golden = sorted(str(p.relative_to(GOLDEN_CLI)) for p in GOLDEN_CLI.rglob("*") if p.is_file())
+    assert [name for name, _ in outputs] == golden
+    for name, blob in outputs:
+        assert blob == (GOLDEN_CLI / name).read_bytes(), f"artifact {name} differs from its golden copy"
 
 
 def test_criterion_10_cli_determinism(tmp_path):
@@ -361,8 +384,26 @@ def test_criterion_10_cli_determinism(tmp_path):
 
 def test_cli_artifacts_match_golden(tmp_path):
     """Every criterion-10 artifact is byte-identical to its copy in tests/golden/cli."""
-    outputs = _run_cli_suite(tmp_path)
-    golden = sorted(str(p.relative_to(GOLDEN_CLI)) for p in GOLDEN_CLI.rglob("*") if p.is_file())
-    assert [name for name, _ in outputs] == golden
-    for name, blob in outputs:
-        assert blob == (GOLDEN_CLI / name).read_bytes(), f"artifact {name} differs from its golden copy"
+    _assert_golden(_run_cli_suite(tmp_path))
+
+
+def test_cli_artifacts_match_golden_under_optimize(tmp_path):
+    """The criterion-10 batch in one ``python -O`` process, where ``assert`` is compiled out."""
+    script = (
+        "import json, sys\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are live: not running under -O')\n"
+        "from cogkit.cli import main\n"
+        "sys.exit(max(main(argv) for argv in json.load(sys.stdin)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        input=json.dumps(_cli_suite_argv(tmp_path)),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _assert_golden(_artifacts(tmp_path))

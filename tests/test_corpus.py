@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
 from cogkit import groups
 from cogkit.complexes import validate_cog, validate_cog_morphism, validate_morphism_to_group
 from cogkit.corpus import (
@@ -11,9 +15,11 @@ from cogkit.corpus import (
     catalog,
     folded_double,
     random_entry,
+    random_subgroup_complex,
 )
+from cogkit.errors import DirectedCycle
 from cogkit.immersions import check_coset_condition
-from cogkit.scwols import validate_scwol
+from cogkit.scwols import Morphism, Scwol, validate_scwol
 
 
 def test_catalog_orders():
@@ -127,3 +133,10 @@ def test_star_projection_functorial_on_corpus():
         for o in S.objects:
             h = star_projection(star_scwol(S, o))
             assert validate_scwol_morphism(h).ok
+
+
+def test_subgroup_complex_rejects_directed_cycle():
+    """Objects on a directed cycle can never be placed; the guard holds under -O."""
+    cycle = Scwol(["x", "y"], [Morphism("a", "x", "y"), Morphism("b", "y", "x")], {}, label="CYC")
+    with pytest.raises(DirectedCycle):
+        random_subgroup_complex(cycle, groups.cyclic_group(2), random.Random(0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -241,3 +242,94 @@ def test_cli_budget_below_one_exits_2(capsys):
         assert run_cli("iso", *pair, "--dir", FIXTURES, "--budget", budget) == 2
         assert capsys.readouterr().err.startswith("error: ")
     assert run_cli("iso", *pair, "--dir", FIXTURES, "--budget", 1) == 1
+
+
+# -- exit-code policy: one test per input defect ---------------------------------
+
+def exit_code(*argv) -> int:
+    """``main``'s return value, or the status of the usage error argparse raised."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def workspace_with(tmp_path, name: str, edit) -> Path:
+    """A copy of the fixture workspace whose document ``name`` went through ``edit``."""
+    ws = tmp_path / "ws"
+    shutil.copytree(FIXTURES, ws)
+    doc = json.loads((ws / f"{name}.json").read_text())
+    edit(doc)
+    (ws / f"{name}.json").write_text(cio.dumps(doc))
+    return ws
+
+
+def test_cli_psi_not_a_hom_exits_2(tmp_path, capsys):
+    ws = workspace_with(tmp_path, "star-s3", lambda doc: doc["psi"].update(c=[1, 0]))
+    assert run_cli("local-cog", "--dir", ws, "--cog", "star-s3", "--vertex", "g") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run_cli("validate", ws / "star-s3.json", "--dir", ws) == 1
+    assert capsys.readouterr().out.startswith(f"INVALID {ws / 'star-s3.json'}: ")
+
+
+def test_cli_tree_file_not_spanning_exits_2(tmp_path, capsys):
+    for content in ({"a": 1}, ["a0"]):
+        tree = tmp_path / "t.json"
+        tree.write_text(json.dumps(content))
+        assert run_cli("pi1", "--dir", FIXTURES, "--cog", "seg23", "--tree", f"file:{tree}") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_non_associative_group_exits_2(tmp_path, capsys):
+    table = [[0, 1, 2], [1, 0, 0], [2, 0, 0]]  # (1*1)*2 = 2 but 1*(1*2) = 1
+    ws = workspace_with(tmp_path, "z3", lambda doc: doc.update(cayley=table))
+    assert run_cli("abel", "--dir", ws, "--cog", "seg23") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_format_outside_the_commands_choices_exits_2(capsys):
+    assert exit_code("pi1", "--dir", FIXTURES, "--cog", "seg23", "--format", "off") == 2
+    assert exit_code("realize", "--dir", FIXTURES, "--scwol", "delta2", "--format", "cas") == 2
+    assert "error: argument --format" in capsys.readouterr().err
+
+
+def test_cli_option_the_command_does_not_read_exits_2(capsys):
+    assert exit_code("abel", "--dir", FIXTURES, "--cog", "seg23", "--budget", 5) == 2
+    assert "error: unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
+def test_cli_scwol_morphism_without_source_exits_2(tmp_path, capsys):
+    ws = workspace_with(tmp_path, "seg", lambda doc: doc["morphisms"][0].pop("i"))
+    assert run_cli("realize", "--dir", ws, "--scwol", "seg") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_malformed_pres_file_exits_2(tmp_path, capsys):
+    pres = tmp_path / "p.json"
+    assert run_cli("pi1", "--dir", FIXTURES, "--cog", "seg23", "--emit", pres) == 0
+    doc = json.loads(pres.read_text())
+    del doc["generators"]
+    for text in ("{oops", json.dumps(doc)):
+        pres.write_text(text)
+        for command in ("abel", "export-pres"):
+            assert run_cli(command, "--pres", pres, "--dir", FIXTURES) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_budget_exhausted_exits_3(capsys):
+    seg = FIXTURES / "seg.json"
+    assert run_cli("iso", seg, seg, "--dir", FIXTURES, "--budget", 1) == 3
+    assert capsys.readouterr().err.startswith("error: isomorphism search exceeded")
+    assert run_cli("iso", seg, seg, "--dir", FIXTURES) == 0
+
+
+def test_cli_commands_that_look_nothing_up_ignore_foreign_json(tmp_path, capsys):
+    """A directory may hold JSON that is not a cogkit document, such as package.json."""
+    (tmp_path / "package.json").write_text('{"name": "site", "version": "1.0.0"}\n')
+    pres = tmp_path / "p.json"
+    assert run_cli("pi1", "--dir", FIXTURES, "--cog", "seg23", "--emit", pres) == 0
+    assert run_cli("export-pres", "--pres", pres, "--dir", tmp_path) == 0
+    seg = FIXTURES / "seg.json"
+    assert run_cli("iso", seg, seg, "--dir", tmp_path) == 0
+    # a command that does look a document up still reads the directory
+    assert run_cli("abel", "--cog", "seg23", "--dir", tmp_path) == 2

@@ -6,13 +6,20 @@ against hand values on the fixture presentations.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from cogkit import groups
+from cogkit import groups, io as cio
 from cogkit.complexes import ComplexOfGroups
-from cogkit.errors import RelatorNotKilled, TreeConditionViolated, TreeNotSpanning, UnknownFormat
+from cogkit.errors import (
+    RelatorNotKilled,
+    SourceTargetMismatch,
+    TreeConditionViolated,
+    TreeNotSpanning,
+    UnknownFormat,
+)
 from cogkit.local import build_local_cog, build_sigma, build_theta
 from cogkit.presentations import (
     abelianization,
@@ -22,7 +29,6 @@ from cogkit.presentations import (
     induced_hom,
     induced_hom_to_group,
     is_surjective,
-    parse_structured,
     pi1_presentation,
     simplify,
     snf_invariants,
@@ -279,14 +285,16 @@ def test_induced_hom_sigma_records_obligations(star_s3):
     for k, w in enumerate(ident.word_images):
         if P_tgt.generators[k][0] == "v":
             assert w == ((k, 1),)
+    # a hom into a presentation has no image subgroup to close, even under -O
+    with pytest.raises(SourceTargetMismatch):
+        hom_image_subgroup(ident)
 
 
 # -- exports -----------------------------------------------------------------------
 
 def test_export_round_trip(seg23):
     P = pi1_presentation(seg23, maximal_tree(seg23.base))
-    text = export(P, "structured")
-    Q = parse_structured(text)
+    Q = cio.presentation_from_json(json.loads(export(P, "json")))
     assert Q.generators == P.generators
     assert Q.relators == P.relators
     assert Q.tree == P.tree
