@@ -12,7 +12,8 @@ Exit codes:
 - 1: negative verdict, with a machine-readable witness on stdout or in the
   emitted file;
 - 2: malformed input, unresolved reference or broken precondition (any
-  ``CogkitError`` but the one below), and command-line usage errors;
+  ``CogkitError`` but the one below), an ``--emit`` or ``--out`` path that
+  cannot be written (``OutputNotWritable``), and command-line usage errors;
 - 3: a search exhausted its budget (``SearchBudgetExceeded``) before a verdict.
 
 All output is deterministic byte-for-byte: JSON is emitted with sorted keys
@@ -30,7 +31,13 @@ from typing import Callable, NamedTuple, Union
 from . import io as cio
 from .corpus import build_corpus
 from .develop import build_development, build_local_development
-from .errors import CogkitError, ParseError, SearchBudgetExceeded, UnresolvedReference
+from .errors import (
+    CogkitError,
+    OutputNotWritable,
+    ParseError,
+    SearchBudgetExceeded,
+    UnresolvedReference,
+)
 from .immersions import check_immersion
 from .local import build_local_cog, build_sigma, build_theta
 from .presentations import abelianization, export, pi1_presentation
@@ -42,9 +49,16 @@ from .scwols import (
 )
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise OutputNotWritable(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
-        Path(path).write_text(text)
+        _write(Path(path), text)
     else:
         sys.stdout.write(text)
 
@@ -212,13 +226,16 @@ def cmd_realize(args, ws) -> int:
 
 def cmd_gen_corpus(args, ws) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputNotWritable(f"cannot create directory {out}: {exc.strerror or exc}")
     entries = build_corpus(seed=args.seed, count=args.count)
     for k, entry in enumerate(entries):
         cog_id = f"corpus{k:03d}"
-        (out / f"{cog_id}.json").write_text(cio.dumps(cio.cog_to_json(entry.complex, id=cog_id)))
+        _write(out / f"{cog_id}.json", cio.dumps(cio.cog_to_json(entry.complex, id=cog_id)))
         mor = cio.morphism_to_group_to_json(entry.to_ambient, id=f"{cog_id}.ambient")
-        (out / f"{cog_id}.ambient.json").write_text(cio.dumps(mor))
+        _write(out / f"{cog_id}.ambient.json", cio.dumps(mor))
     print(f"wrote {2 * len(entries)} documents to {out}")
     return 0
 

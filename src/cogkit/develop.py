@@ -194,7 +194,7 @@ def check_action(D: Development) -> ValidationReport:
                 )
                 break
     # group law g.(h.x) = (gh).x; checking h over a generating set is complete
-    gens = _generating_set(G)
+    gens = groups.generating_set(G)
     done = False
     for g in G.elements():
         if done:
@@ -253,18 +253,6 @@ def check_action(D: Development) -> ValidationReport:
             )
         )
     return ValidationReport(not failures, tuple(failures))
-
-
-def _generating_set(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    closure = {G.identity}
-    for x in G.elements():
-        if x not in closure:
-            gens.append(x)
-            closure = set(groups.subgroup_closure(G, gens))
-            if len(closure) == G.order:
-                break
-    return gens
 
 
 def _orbits(items, maps):

@@ -87,3 +87,7 @@ class ParseError(CogkitError):
 
 class UnresolvedReference(CogkitError):
     pass
+
+
+class OutputNotWritable(CogkitError):
+    pass

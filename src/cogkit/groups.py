@@ -280,6 +280,23 @@ def subgroup_closure(G: FiniteGroup, elements: Iterable[int]) -> tuple[int, ...]
     return tuple(sorted(elems))
 
 
+def generating_set(G: FiniteGroup) -> list[int]:
+    """A generating set of G, chosen greedily in element order.
+
+    Each element not yet in the subgroup generated so far is added, so the
+    result is deterministic and empty for the trivial group.
+    """
+    gens: list[int] = []
+    closure = {G.identity}
+    for x in G.elements():
+        if x not in closure:
+            gens.append(x)
+            closure = set(subgroup_closure(G, gens))
+            if len(closure) == G.order:
+                break
+    return gens
+
+
 def subgroup_group(G: FiniteGroup, elements: Iterable[int], label: Optional[str] = None) -> tuple[FiniteGroup, GroupHom]:
     """Package a subgroup as a standalone group plus its inclusion hom.
 

@@ -1,13 +1,32 @@
 """Fundamental-group presentations over a maximal tree.
 
-Generators are one symbol per local-group element plus one positive symbol
-per morphism (the negative is encoded by exponent sign).  Relators are the
-local multiplication tables, the pair relators a+ b+ = g_{a,b}(ab)+, the
-conjugation relators psi_a(g) = a+ g a-, and a+ = 1 on tree edges.
+Generators are one symbol ``v[o:x]`` per element x of each local group G_o
+plus one positive symbol ``e[a]`` per morphism (the negative is encoded by
+exponent sign).  Relators, in this order:
+
+- per object o, ``v[o:e]`` and the Cayley-graph relators
+  ``v[o:x] v[o:s] v[o:xs]^-1`` for every x in G_o and every s in the
+  generating set S_o = ``groups.generating_set(G_o)``;
+- the pair relators ``e[a] e[b] e[ab]^-1 v[t(a):g_{a,b}]^-1``;
+- the conjugation relators ``e[a] v[i(a):s] e[a]^-1 v[t(a):psi_a(s)]^-1``
+  for s in S_{i(a)} only;
+- ``e[a]`` for every tree edge a.
+
+Bridson-Haefliger III.C accepts any presentation of the local groups, and
+the Cayley-graph relators present G_o.  They hold in G_o.  Conversely,
+``v[o:e] = 1`` and ``v[o:y] v[o:s] = v[o:ys]`` write each ``v[o:y]`` as
+the product ``v[o:s1] ... v[o:sk]`` along any word y = s1...sk in S_o;
+every element is such a positive word because G_o is finite
+(``v[o:s]^ord(s) = v[o:e] = 1`` supplies the inverses).  Induction on k
+then gives ``v[o:x] v[o:y] = v[o:xy]`` for all x and y: every closed walk
+in the Cayley graph, and so every multiplication-table relator, reduces
+to 1.  Conjugation by ``e[a]`` and psi_a are both homomorphisms,
+so they agree on G_{i(a)} once they agree on S_{i(a)}.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
@@ -61,8 +80,11 @@ def free_reduce(word: Word) -> Word:
 def pi1_presentation(C: ComplexOfGroups, T: Iterable[str]) -> GroupPresentation:
     """Presentation of the fundamental group over the spanning tree T.
 
-    Local-group relations are the full multiplication tables; at desk scale
-    this stays small and needs no presentation search.
+    Each local group G_o is presented by its Cayley graph on
+    ``groups.generating_set(G_o)`` (|G_o|·|S_o| + 1 relators instead of the
+    |G_o|^2 of its multiplication table), and each psi_a is imposed on the
+    generators of its source group only; the module docstring has the
+    argument that this presents the same group.
     """
     S = C.base
     tree = tuple(sorted(T))
@@ -70,8 +92,9 @@ def pi1_presentation(C: ComplexOfGroups, T: Iterable[str]) -> GroupPresentation:
         if not is_spanning_tree(S, tree):
             raise TreeNotSpanning(f"{tree} is not a spanning tree of {S.label}")
 
+    objects = sorted(S.objects)
     gens: list[Gen] = []
-    for o in sorted(S.objects):
+    for o in objects:
         for x in C.group_of[o].elements():
             gens.append(("v", o, x))
     mor_ids = sorted(m.id for m in S.morphisms)
@@ -85,12 +108,14 @@ def pi1_presentation(C: ComplexOfGroups, T: Iterable[str]) -> GroupPresentation:
     def e(a: str) -> int:
         return index[("e", a)]
 
+    gen_sets = {o: groups.generating_set(C.group_of[o]) for o in objects}
     relators: list[Word] = []
-    for o in sorted(S.objects):
+    for o in objects:
         G = C.group_of[o]
+        relators.append(((v(o, G.identity), 1),))
         for x in G.elements():
-            for y in G.elements():
-                relators.append(((v(o, x), 1), (v(o, y), 1), (v(o, G.mul(x, y)), -1)))
+            for s in gen_sets[o]:
+                relators.append(((v(o, x), 1), (v(o, s), 1), (v(o, G.mul(x, s)), -1)))
     for (a, b) in sorted(S.comp):
         ab = S.comp[(a, b)]
         relators.append(
@@ -99,8 +124,8 @@ def pi1_presentation(C: ComplexOfGroups, T: Iterable[str]) -> GroupPresentation:
     for a in mor_ids:
         m = S.mor_by_id[a]
         psi = C.psi[a]
-        for x in C.group_of[m.i].elements():
-            relators.append(((e(a), 1), (v(m.i, x), 1), (e(a), -1), (v(m.t, psi(x)), -1)))
+        for s in gen_sets[m.i]:
+            relators.append(((e(a), 1), (v(m.i, s), 1), (e(a), -1), (v(m.t, psi(s)), -1)))
     for a in tree:
         relators.append(((e(a), 1),))
     return GroupPresentation(
@@ -264,51 +289,71 @@ def abelianization(P: GroupPresentation) -> list[int]:
 def snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], int]:
     """Invariant factors (with 1s) and the rank of a sparse integer matrix.
 
-    Unit entries are eliminated sparsely first; the small remainder goes
-    through the textbook Smith reduction.
+    Unit entries are eliminated sparsely first, in Markowitz order: the next
+    pivot is a ±1 entry of least cost (row length - 1)(column count - 1),
+    the most fill-in its elimination can cause (Havas-Holt-Rees,
+    "Recognizing badly presented Z-modules", 1993).  Candidates wait in a
+    heap; a popped cost that has grown since it was pushed is pushed back,
+    and each changed row pushes its unit entries again.  The small
+    remainder goes through the textbook Smith reduction.
     """
-    rows = [dict(r) for r in rows if r]
+    live = {r: dict(row) for r, row in enumerate(rows) if row}
+    col_rows: dict[int, set[int]] = {}
+    for r, row in live.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(r)
+
+    heap = [
+        ((len(row) - 1) * (len(col_rows[c]) - 1), r, c)
+        for r, row in live.items()
+        for c, val in row.items()
+        if val in (1, -1)
+    ]
+    heapq.heapify(heap)
     rank_units = 0
-    while True:
-        pick = None
-        for ri, row in enumerate(rows):
-            for c, val in row.items():
-                if val in (1, -1):
-                    pick = (ri, c)
-                    break
-            if pick:
-                break
-        if pick is None:
-            break
-        ri, c = pick
-        base = rows[ri]
-        coeff = base[c]
-        if coeff == -1:
-            base = {k: -v for k, v in base.items()}
-        others = []
-        for rj, row in enumerate(rows):
-            if rj == ri or c not in row:
-                if rj != ri:
-                    others.append(row)
-                continue
+    while heap:
+        old_cost, r, c = heapq.heappop(heap)
+        row = live.get(r)
+        if row is None or row.get(c) not in (1, -1):
+            continue
+        now = (len(row) - 1) * (len(col_rows[c]) - 1)
+        if now > old_cost:
+            heapq.heappush(heap, (now, r, c))
+            continue
+        base = live.pop(r)
+        if base[c] == -1:
+            base = {k: -val for k, val in base.items()}
+        for k in base:
+            col_rows[k].discard(r)
+        for rj in col_rows.pop(c):
+            row = live[rj]
             q = row[c]
-            new = dict(row)
-            for k, v in base.items():
-                new[k] = new.get(k, 0) - q * v
-                if new[k] == 0:
-                    del new[k]
-            if new:
-                others.append(new)
-        rows = others
+            for k, val in base.items():
+                new = row.get(k, 0) - q * val
+                if new:
+                    if k not in row:
+                        col_rows[k].add(rj)
+                    row[k] = new
+                else:
+                    del row[k]
+                    if k != c:
+                        col_rows[k].discard(rj)
+            if not row:
+                del live[rj]
+                continue
+            length = len(row) - 1
+            for k, val in row.items():
+                if val in (1, -1):
+                    heapq.heappush(heap, (length * (len(col_rows[k]) - 1), rj, k))
         rank_units += 1
-    cols = sorted({c for row in rows for c in row})
+    cols = sorted(c for c, rs in col_rows.items() if rs)
     if not cols:
         return [1] * rank_units, rank_units
     pos = {c: k for k, c in enumerate(cols)}
-    dense = [[0] * len(cols) for _ in rows]
-    for k, row in enumerate(rows):
-        for c, v in row.items():
-            dense[k][pos[c]] = v
+    dense = [[0] * len(cols) for _ in live]
+    for k, r in enumerate(sorted(live)):
+        for c, val in live[r].items():
+            dense[k][pos[c]] = val
     diag = _dense_snf(dense)
     invariants = [1] * rank_units + [abs(d) for d in diag if d]
     return sorted(invariants), rank_units + sum(1 for d in diag if d)

@@ -286,3 +286,21 @@ def test_subgroup_closure_is_subgroup():
         sub = groups.subgroup_closure(S4, seed)
         assert groups.is_subgroup(S4, sub)
         assert S4.order % len(sub) == 0  # Lagrange
+
+
+def test_generating_set_generates_and_is_greedy():
+    assert groups.generating_set(groups.cyclic_group(1)) == []
+    for G in (
+        groups.cyclic_group(6),
+        groups.symmetric_group(3),
+        groups.dihedral_group(4),
+        groups.quaternion_group(),
+        groups.symmetric_group(4),
+    ):
+        gens = groups.generating_set(G)
+        assert len(groups.subgroup_closure(G, gens)) == G.order
+        # each generator is the least element outside the subgroup its predecessors generate
+        for k, s in enumerate(gens):
+            below = set(groups.subgroup_closure(G, gens[:k]))
+            assert s == min(x for x in G.elements() if x not in below)
+        assert groups.generating_set(G) == gens

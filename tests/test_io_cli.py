@@ -236,6 +236,26 @@ def test_cli_missing_tree_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_unwritable_emit_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    argv = ("local-cog", "--dir", FIXTURES, "--cog", "star-s3", "--vertex", "g", "--emit", target)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert not target.exists()
+
+
+def test_cli_gen_corpus_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "F"
+    out.write_text("")
+    assert run_cli("gen-corpus", "--count", "1", "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: cannot create directory ")
+    # a directory in the place of a document the corpus writes
+    out = tmp_path / "corpus"
+    (out / "corpus000.json").mkdir(parents=True)
+    assert run_cli("gen-corpus", "--count", "1", "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
 def test_cli_budget_below_one_exits_2(capsys):
     pair = (FIXTURES / "seg.json", FIXTURES / "circle.json")
     for budget in (0, -1):
