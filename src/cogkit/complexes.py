@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import groups
 from .groups import FiniteGroup, GroupHom
-from .scwols import Failure, Scwol, ScwolMorphism, ValidationReport, validate_scwol_morphism
+from .scwols import Failure, Scwol, ScwolMorphism, ValidationReport, chains, validate_scwol_morphism
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def validate_cog(C: ComplexOfGroups) -> ValidationReport:
     if failures:
         return ValidationReport(False, tuple(failures))
 
-    pairs = S.composable_pairs()
+    pairs = chains(S, 2)
     for pair in pairs:
         if pair not in C.twist:
             failures.append(Failure("TwistWrongGroup", pair, f"pair {pair} has no twisting element"))
@@ -88,7 +88,7 @@ def validate_cog(C: ComplexOfGroups) -> ValidationReport:
                     )
                 )
                 break
-    for a, b, c in S.composable_triples():
+    for a, b, c in chains(S, 3):
         ab = S.comp[(a, b)]
         bc = S.comp[(b, c)]
         Gt = C.group_of[S.tgt(a)]

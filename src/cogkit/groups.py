@@ -289,11 +289,22 @@ def generating_set(G: FiniteGroup) -> list[int]:
     gens: list[int] = []
     closure = {G.identity}
     for x in G.elements():
-        if x not in closure:
-            gens.append(x)
-            closure = set(subgroup_closure(G, gens))
-            if len(closure) == G.order:
-                break
+        if x in closure:
+            continue
+        gens.append(x)
+        # <closure, x> is closure, closure*x, and what the new elements
+        # reach by right multiplication by every generator
+        new = [G.mult[h][x] for h in closure]
+        closure.update(new)
+        while new:
+            z = new.pop()
+            for s in gens:
+                y = G.mult[z][s]
+                if y not in closure:
+                    closure.add(y)
+                    new.append(y)
+        if len(closure) == G.order:
+            break
     return gens
 
 

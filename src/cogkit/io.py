@@ -311,12 +311,20 @@ class Workspace:
 
     @classmethod
     def load(cls, root: Union[str, Path]) -> "Workspace":
-        """Every ``*.json`` document of ``root``, named by ``id`` (else file stem), read now."""
+        """Every ``*.json`` document of ``root``, named by ``id`` (else file stem), read now.
+
+        Raises ``ParseError`` naming both files when two documents share a name.
+        """
         root = Path(root)
         documents = {}
+        paths: dict[str, Path] = {}
         for path in sorted(root.glob("*.json")):
             payload = read_document(path)
-            documents[payload.get("id", path.stem)] = payload
+            name = payload.get("id", path.stem)
+            if name in paths:
+                raise ParseError(f"{paths[name]} and {path} both name a document {name!r}")
+            documents[name] = payload
+            paths[name] = path
         return cls(root=root, documents=documents)
 
     def scan(self) -> dict[str, dict]:

@@ -8,8 +8,9 @@ the composite ``ab`` satisfies ``i(ab) = i(b)`` and ``t(ab) = t(a)``.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -88,25 +89,6 @@ class Scwol:
     def tgt(self, mor_id: str) -> str:
         return self.mor_by_id[mor_id].t
 
-    def composable_pairs(self) -> list[tuple[str, str]]:
-        """All (a, b) with i(a) = t(b), sorted."""
-        pairs = []
-        for b in self.morphisms:
-            for a_id in self._out.get(b.t, []):
-                pairs.append((a_id, b.id))
-        return sorted(pairs)
-
-    def composable_triples(self) -> list[tuple[str, str, str]]:
-        """All (a, b, c) with i(a) = t(b) and i(b) = t(c), sorted."""
-        triples = []
-        for b in self.morphisms:
-            outs = self._out.get(b.t, [])
-            ins = self._in.get(b.i, [])
-            for a_id in outs:
-                for c_id in ins:
-                    triples.append((a_id, b.id, c_id))
-        return sorted(triples)
-
     def __repr__(self) -> str:
         return f"Scwol({self.label!r}, |V|={len(self.objects)}, |E|={len(self.morphisms)})"
 
@@ -126,7 +108,7 @@ def validate_scwol(S: Scwol) -> ValidationReport:
     if failures:
         return ValidationReport(False, tuple(failures))
 
-    composable = set(S.composable_pairs())
+    composable = set(chains(S, 2))
     for pair in sorted(composable):
         if pair not in S.comp:
             failures.append(
@@ -152,7 +134,7 @@ def validate_scwol(S: Scwol) -> ValidationReport:
                 )
             )
     if not failures:
-        for a, b, c in S.composable_triples():
+        for a, b, c in chains(S, 3):
             left = S.comp.get((S.comp[(a, b)], c))
             right = S.comp.get((a, S.comp[(b, c)]))
             if left is None or right is None or left != right:
@@ -188,12 +170,7 @@ def chains(S: Scwol, k: int) -> list[tuple[str, ...]]:
         raise ValueError("k must be positive")
     out: list[tuple[str, ...]] = [(m.id,) for m in S.morphisms]
     for _ in range(k - 1):
-        nxt = []
-        for chain in out:
-            last = chain[-1]
-            for b in S.into(S.src(last)):
-                nxt.append(chain + (b,))
-        out = nxt
+        out = [chain + (b,) for chain in out for b in S.into(S.src(chain[-1]))]
     return sorted(out)
 
 
@@ -483,7 +460,7 @@ def geometric_realization(S: Scwol) -> PolyhedralComplexExport:
             break
         ids = []
         for chain in level:
-            cid = _pair_id(*chain) if len(chain) > 1 else chain[0]
+            cid = _chain_id(chain)
             ids.append(cid)
             fs = []
             if k == 1:
@@ -595,157 +572,147 @@ def is_spanning_tree(S: Scwol, tree: Iterable[str]) -> bool:
 def scwol_isomorphic(
     S1: Scwol, S2: Scwol, budget: int = DEFAULT_ISO_BUDGET
 ) -> Optional[ScwolMorphism]:
-    """Backtracking isomorphism search with degree-profile pruning.
+    """Backtracking isomorphism search over the irreducible morphisms of S1.
 
-    Returns the first witness found under a fixed deterministic search order
-    (objects of S1 most-constrained first, candidates of S2 by ascending id),
-    or None when no isomorphism exists.  Raises SearchBudgetExceeded after
-    expanding more than ``budget`` assignment nodes.
+    Irreducible morphisms (no composites) generate every morphism, and an
+    isomorphism maps them onto those of S2.  Each gets an image, candidates
+    by ascending id, that maps its endpoints to unused objects of the same
+    colour under colour refinement.  Each composite whose two factors have
+    images then gets the composite of the images, which places it and
+    checks f(ab) = f(a)f(b).  Objects without morphisms are paired in id
+    order.  Irreducible morphisms are taken grouped by their later endpoint
+    in a ranking of the objects: most irreducible links to objects ranked
+    before, then rarest colour, then id.
+
+    Returns the first witness found, or None when no isomorphism exists.
+    Raises SearchBudgetExceeded after trying more than ``budget`` images.
     """
-    if len(S1.objects) != len(S2.objects) or len(S1.morphisms) != len(S2.morphisms):
+    irr1, irr2 = (S.mor_by_id.keys() - S.comp.values() for S in (S1, S2))
+    if (len(S1.objects), len(S1.morphisms), len(S1.comp), len(irr1)) != (
+        len(S2.objects), len(S2.morphisms), len(S2.comp), len(irr2)
+    ):
         return None
-    if len(S1.comp) != len(S2.comp):
+    col1, col2 = _refine_colors(S1, S2)
+    if sorted(col1.values()) != sorted(col2.values()):
         return None
+    # each object brings the irreducible morphisms to the objects ranked before it
+    incident = defaultdict(list)
+    for a in irr1:
+        m = S1.mor_by_id[a]
+        incident[m.i].append((m.t, m))
+        incident[m.t].append((m.i, m))
+    rarity = Counter(col2.values())
+    links = Counter()
+    rank: dict[str, int] = {}
+    order: list[Morphism] = []
+    heap = sorted((0, rarity[col1[o]], o) for o in S1.objects)
+    while heap:
+        o = heapq.heappop(heap)[2]
+        if o in rank:
+            continue
+        rank[o] = len(rank)
+        order += [m for _, _, m in sorted((rank[p], m.id, m) for p, m in incident[o] if p in rank)]
+        for p, _ in incident[o]:
+            if p not in rank:
+                links[p] += 1
+                heapq.heappush(heap, (-links[p], rarity[col1[p]], p))
 
-    objs1 = sorted(S1.objects)
-    objs2 = sorted(S2.objects)
-    n = len(objs1)
-    idx1 = {o: k for k, o in enumerate(objs1)}
-    idx2 = {o: k for k, o in enumerate(objs2)}
+    obj_map: dict[str, str] = {}
+    mor_map: dict[str, str] = {}
+    obj_used: set[str] = set()
+    mor_used: set[str] = set()
+    trail: list[tuple[dict, set, str]] = []  # (map, used, key) of each assignment
 
-    def arc_counts(S, idx):
-        counts = defaultdict(int)
-        for m in S.morphisms:
-            counts[(idx[m.i], idx[m.t])] += 1
-        return counts
+    def fits(o1: str, o2: str) -> bool:
+        img = obj_map.get(o1)
+        return o2 == img if img is not None else o2 not in obj_used and col1[o1] == col2[o2]
 
-    arcs1 = arc_counts(S1, idx1)
-    arcs2 = arc_counts(S2, idx2)
-    out1, in1 = _adj_lists(arcs1, n)
-    out2, in2 = _adj_lists(arcs2, n)
+    def candidates(m: Morphism) -> list[str]:
+        x, y = obj_map.get(m.i), obj_map.get(m.t)
+        pool = S2.out_of(x) if x is not None else S2.into(y) if y is not None else sorted(irr2)
+        return [c for c in pool if c in irr2 and c not in mor_used
+                and fits(m.i, S2.src(c)) and fits(m.t, S2.tgt(c))]
 
-    colors1 = _refine_colors(n, arcs1, out1, in1)
-    colors2 = _refine_colors(n, arcs2, out2, in2)
-    if sorted(colors1) != sorted(colors2):
-        return None
-    by_color2 = defaultdict(list)
-    for k, c in enumerate(colors2):
-        by_color2[c].append(k)
-
-    # assignment order: rarest color first, then by id
-    order = sorted(range(n), key=lambda k: (len(by_color2[colors1[k]]), objs1[k]))
-    mapping = [-1] * n
-    used = [False] * n
-    nodes = 0
-
-    def consistent(k1: int, k2: int) -> bool:
-        for j1 in out1[k1]:
-            j2 = mapping[j1]
-            if j2 >= 0 and arcs1[(k1, j1)] != arcs2.get((k2, j2), 0):
+    def place(m: Morphism, image: str) -> bool:
+        for o1, o2 in ((m.i, S2.src(image)), (m.t, S2.tgt(image))):
+            if o1 not in obj_map:
+                obj_map[o1] = o2
+                obj_used.add(o2)
+                trail.append((obj_map, obj_used, o1))
+        pending = [(m.id, image)]
+        while pending:
+            a, fa = pending.pop()
+            if a in mor_map:
+                if mor_map[a] != fa:
+                    return False
+                continue
+            if fa is None or fa in mor_used:
                 return False
-        for j1 in in1[k1]:
-            j2 = mapping[j1]
-            if j2 >= 0 and arcs1[(j1, k1)] != arcs2.get((j2, k2), 0):
-                return False
-        # degree profile must match exactly
+            mor_map[a] = fa
+            mor_used.add(fa)
+            trail.append((mor_map, mor_used, a))
+            m = S1.mor_by_id[a]
+            for b in S1.into(m.i):  # the composites ab
+                if b in mor_map:
+                    pending.append((S1.comp[(a, b)], S2.comp.get((fa, mor_map[b]))))
+            for b in S1.out_of(m.t):  # the composites ba
+                if b in mor_map:
+                    pending.append((S1.comp[(b, a)], S2.comp.get((mor_map[b], fa))))
         return True
 
-    def extend(pos: int) -> Optional[ScwolMorphism]:
-        nonlocal nodes
-        if pos == n:
-            return _match_morphisms(S1, S2, {objs1[k]: objs2[mapping[k]] for k in range(n)})
-        k1 = order[pos]
-        for k2 in by_color2[colors1[k1]]:
-            if used[k2]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
-            if not consistent(k1, k2):
-                continue
-            mapping[k1] = k2
-            used[k2] = True
-            found = extend(pos + 1)
-            if found is not None:
-                return found
-            mapping[k1] = -1
-            used[k2] = False
-        return None
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            assigned, used, key = trail.pop()
+            used.discard(assigned.pop(key))
 
-    return extend(0)
-
-
-def _adj_lists(arcs, n):
-    out = [[] for _ in range(n)]
-    into = [[] for _ in range(n)]
-    for (a, b) in arcs:
-        out[a].append(b)
-        into[b].append(a)
-    return out, into
+    levels: list = []  # levels[k] iterates the candidates for order[k]
+    marks: list[int] = []  # marks[k]: trail length before order[k] was placed
+    nodes = 0
+    while len(marks) < len(order):
+        depth = len(marks)
+        if len(levels) == depth:
+            levels.append(iter(candidates(order[depth])))
+        image = next(levels[depth], None)
+        if image is None:
+            levels.pop()
+            if not marks:
+                return None
+            undo(marks.pop())
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
+        mark = len(trail)
+        if place(order[depth], image):
+            marks.append(mark)
+        else:
+            undo(mark)
+    obj_map.update(zip(sorted(S1.object_set - obj_map.keys()), sorted(S2.object_set - obj_used)))
+    return ScwolMorphism(source=S1, target=S2, on_objects=obj_map, on_morphisms=mor_map)
 
 
-def _refine_colors(n, arcs, out, into, rounds: int = 3):
-    colors = [0] * n
-    for _ in range(rounds):
-        sigs = []
-        for k in range(n):
-            outs = tuple(sorted((colors[j], arcs[(k, j)]) for j in out[k]))
-            ins = tuple(sorted((colors[j], arcs[(j, k)]) for j in into[k]))
-            sigs.append((colors[k], outs, ins))
-        canon = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [canon[s] for s in sigs]
+def _refine_colors(S1: Scwol, S2: Scwol) -> list[dict[str, int]]:
+    """Object colours of both scwols after 3 rounds of refinement by the
+    colours at the other ends of each object's morphisms; the numbering is
+    shared, so equal colours mean equal signatures."""
+    ends = [{o: ([], []) for o in S.objects} for S in (S1, S2)]  # targets out, sources in
+    for S, end in zip((S1, S2), ends):
+        for m in S.morphisms:
+            end[m.i][0].append(m.t)
+            end[m.t][1].append(m.i)
+    colors = [dict.fromkeys(S.objects, 0) for S in (S1, S2)]
+    for _ in range(3):
+        sigs = [
+            {o: (col[o], tuple(sorted(map(col.get, outs))), tuple(sorted(map(col.get, ins))))
+             for o, (outs, ins) in end.items()}
+            for end, col in zip(ends, colors)
+        ]
+        canon = {s: k for k, s in enumerate(sorted(set(sigs[0].values()) | set(sigs[1].values())))}
+        new = [{o: canon[s] for o, s in sig.items()} for sig in sigs]
         if new == colors:
             break
         colors = new
     return colors
-
-
-def _match_morphisms(S1: Scwol, S2: Scwol, obj_map: dict[str, str]) -> Optional[ScwolMorphism]:
-    """Extend an object bijection to morphisms, backtracking over parallels."""
-    blocks1 = defaultdict(list)
-    blocks2 = defaultdict(list)
-    for m in S1.morphisms:
-        blocks1[(obj_map[m.i], obj_map[m.t])].append(m.id)
-    for m in S2.morphisms:
-        blocks2[(m.i, m.t)].append(m.id)
-    if set(blocks1) != set(blocks2):
-        return None
-    mor_map: dict[str, str] = {}
-    block_list = []
-    for key in sorted(blocks1):
-        b1, b2 = sorted(blocks1[key]), sorted(blocks2[key])
-        if len(b1) != len(b2):
-            return None
-        if len(b1) == 1:
-            mor_map[b1[0]] = b2[0]
-        else:
-            block_list.append((b1, b2))
-
-    def check(final: dict[str, str]) -> bool:
-        for (a, b), ab in S1.comp.items():
-            img = S2.comp.get((final[a], final[b]))
-            if img is None or img != final[ab]:
-                return False
-        return True
-
-    def assign(i: int) -> Optional[dict[str, str]]:
-        if i == len(block_list):
-            return dict(mor_map) if check(mor_map) else None
-        b1, b2 = block_list[i]
-        for perm in itertools.permutations(b2):
-            for x, y in zip(b1, perm):
-                mor_map[x] = y
-            found = assign(i + 1)
-            if found is not None:
-                return found
-            for x in b1:
-                del mor_map[x]
-        return None
-
-    final = assign(0)
-    if final is None:
-        return None
-    return ScwolMorphism(source=S1, target=S2, on_objects=dict(obj_map), on_morphisms=final)
 
 
 # -- constructions from posets ----------------------------------------------

@@ -19,7 +19,7 @@ from cogkit.corpus import (
 )
 from cogkit.errors import DirectedCycle
 from cogkit.immersions import check_coset_condition
-from cogkit.scwols import Morphism, Scwol, validate_scwol
+from cogkit.scwols import Morphism, Scwol, chains, validate_scwol
 
 
 def test_catalog_orders():
@@ -60,7 +60,7 @@ def test_corpus_has_twists_and_triples():
         any(t != e.complex.group_of[e.complex.base.tgt(p[0])].identity for p, t in e.complex.twist.items())
         for e in corpus
     ), "no nontrivial twists drawn"
-    assert any(e.complex.base.composable_triples() for e in corpus), "no composable triples drawn"
+    assert any(chains(e.complex.base, 3) for e in corpus), "no composable triples drawn"
     assert any(not e.complex.group_of[o].is_abelian() for e in corpus for o in e.complex.base.objects)
 
 

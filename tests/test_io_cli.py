@@ -343,6 +343,18 @@ def test_cli_budget_exhausted_exits_3(capsys):
     assert run_cli("iso", seg, seg, "--dir", FIXTURES) == 0
 
 
+def test_cli_duplicate_document_ids_exit_2(tmp_path, capsys):
+    """Two documents named seg23 make the reference ambiguous: both paths are named."""
+    ws = tmp_path / "ws"
+    shutil.copytree(FIXTURES, ws)
+    doc = json.loads((ws / "seg23.json").read_text())
+    doc["groups"]["v1"] = doc["groups"]["v0"]
+    (ws / "seg23-edited.json").write_text(cio.dumps(doc))
+    assert run_cli("abel", "--dir", ws, "--cog", "seg23") == 2
+    err = capsys.readouterr().err
+    assert str(ws / "seg23.json") in err and str(ws / "seg23-edited.json") in err
+
+
 def test_cli_commands_that_look_nothing_up_ignore_foreign_json(tmp_path, capsys):
     """A directory may hold JSON that is not a cogkit document, such as package.json."""
     (tmp_path / "package.json").write_text('{"name": "site", "version": "1.0.0"}\n')

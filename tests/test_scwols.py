@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -308,6 +309,114 @@ def test_iso_budget():
     )
     with pytest.raises(SearchBudgetExceeded):
         scwol_isomorphic(big, big2, budget=3)
+
+
+def relabelled(S, rng):
+    """S under a random renaming of its objects and morphisms, listed in random order."""
+    obj = dict(zip(S.objects, (f"o{k}" for k in rng.sample(range(10 * len(S.objects)), len(S.objects)))))
+    mor = dict(zip(S.mor_by_id, (f"m{k}" for k in rng.sample(range(10 * len(S.morphisms)), len(S.morphisms)))))
+    mors = [Morphism(mor[m.id], obj[m.i], obj[m.t]) for m in S.morphisms]
+    rng.shuffle(mors)
+    objects = list(obj.values())
+    rng.shuffle(objects)
+    return Scwol(objects, mors, {(mor[a], mor[b]): mor[ab] for (a, b), ab in S.comp.items()}, label=S.label + "'")
+
+
+def assert_isomorphism(iso, S1, S2):
+    assert validate_scwol_morphism(iso).ok
+    assert sorted(iso.on_objects) == sorted(S1.objects)
+    assert sorted(iso.on_objects.values()) == sorted(S2.objects)
+    assert sorted(iso.on_morphisms) == sorted(S1.mor_by_id)
+    assert sorted(iso.on_morphisms.values()) == sorted(S2.mor_by_id)
+
+
+def test_iso_budget_charges_every_morphism_candidate():
+    """Two blocks of 4 parallel morphisms and no composites: 8 candidate images, one per morphism."""
+    mors = [Morphism(f"f{k}", "x", "y") for k in range(4)] + [Morphism(f"g{k}", "x", "z") for k in range(4)]
+    S = Scwol(["x", "y", "z"], mors, {}, label="PAR4")
+    other = relabelled(S, random.Random(1))
+    with pytest.raises(SearchBudgetExceeded):
+        scwol_isomorphic(S, other, budget=5)
+    assert_isomorphism(scwol_isomorphic(S, other, budget=8), S, other)
+
+
+def test_iso_checks_every_factorization_of_a_composite():
+    """b3 = g f1 = g f2 in S1, but g f1 != g f2 in S2: the identity images tried
+    first send b3 to b2 through f1 and to b1 through f2, so the search must back
+    up instead of returning them."""
+    mors = [Morphism(f"f{k}", "x", "y") for k in range(3)] + [Morphism("g", "y", "z")]
+    mors += [Morphism(f"b{k}", "x", "z") for k in range(4)]
+    S1 = Scwol(["x", "y", "z"], mors, {("g", "f0"): "b1", ("g", "f1"): "b3", ("g", "f2"): "b3"})
+    S2 = Scwol(["x", "y", "z"], mors, {("g", "f0"): "b1", ("g", "f1"): "b2", ("g", "f2"): "b1"})
+    assert_isomorphism(scwol_isomorphic(S1, S2), S1, S2)
+
+
+def parallel_scwols(n):
+    """x -> y -> z with n parallel f_k: x -> y and n parallel b_k: x -> z, where
+    h f_k = b_k; a copy with h f_k = b_(n-1-k); and one with h f_k = b_(k mod 2)."""
+    mors = [Morphism(f"f{k}", "x", "y") for k in range(n)]
+    mors += [Morphism(f"b{k}", "x", "z") for k in range(n)]
+    mors.append(Morphism("h", "y", "z"))
+    base = Scwol(["x", "y", "z"], mors, {("h", f"f{k}"): f"b{k}" for k in range(n)}, label="PAR")
+    twin = Scwol(["x", "y", "z"], mors, {("h", f"f{k}"): f"b{n - 1 - k}" for k in range(n)}, label="PAR-REV")
+    folded = Scwol(["x", "y", "z"], mors, {("h", f"f{k}"): f"b{k % 2}" for k in range(n)}, label="PAR-FOLD")
+    return base, twin, folded
+
+
+def test_iso_six_parallel_morphisms_within_small_budget():
+    base, twin, folded = parallel_scwols(6)
+    iso = scwol_isomorphic(base, twin, budget=200)
+    assert_isomorphism(iso, base, twin)
+    assert [iso.on_morphisms[f"b{k}"] for k in range(6)] == [f"b{5 - k}" for k in range(6)]
+    assert scwol_isomorphic(base, folded, budget=200) is None
+    assert scwol_isomorphic(folded, base, budget=200) is None
+
+
+def test_iso_against_networkx_oracle():
+    """Corpus scwols, stars and local developments, paired with same-size ones and
+    with random relabellings: every witness is a bijective functor, every
+    relabelling gets one, and pairs whose object multidigraphs networkx tells
+    apart get None."""
+    nx = pytest.importorskip("networkx")
+    from cogkit.corpus import build_corpus
+    from cogkit.develop import build_local_development
+
+    pool = [
+        scwol_from_simplicial_complex([[f"c{i}", f"c{(i + 1) % 8}"] for i in range(8)], label="C8"),
+        scwol_from_simplicial_complex(
+            [[f"{p}{i}", f"{p}{(i + 1) % 4}"] for p in "ab" for i in range(4)], label="2C4"
+        ),
+    ]
+    for e in build_corpus(seed=20260811, count=40):
+        S = e.complex.base
+        pool.append(S)
+        for gamma in sorted(S.objects)[:2]:
+            pool += [star_scwol(S, gamma), build_local_development(e.complex, gamma).scwol]
+
+    def digraph(S):
+        G = nx.MultiDiGraph()
+        G.add_nodes_from(S.objects)
+        G.add_edges_from((m.i, m.t) for m in S.morphisms)
+        return G
+
+    rng = random.Random(20260811)
+    by_size = {}
+    for S in pool:
+        by_size.setdefault((len(S.objects), len(S.morphisms), len(S.comp)), []).append(S)
+    negatives = 0
+    for group in by_size.values():
+        for S1, S2 in zip(group, group[1:]):
+            S2 = relabelled(S2, rng)
+            iso = scwol_isomorphic(S1, S2)
+            if not nx.is_isomorphic(digraph(S1), digraph(S2)):
+                assert iso is None
+                negatives += 1
+            elif iso is not None:
+                assert_isomorphism(iso, S1, S2)
+    assert negatives >= 10
+    for S in pool:
+        other = relabelled(S, rng)
+        assert_isomorphism(scwol_isomorphic(S, other), S, other)
 
 
 def test_identity_morphism_valid(two_simplex):
