@@ -79,20 +79,25 @@ def cmd_validate(args, ws: cio.Workspace) -> int:
     return status
 
 
+def _required(args, option: str) -> str:
+    value = getattr(args, option)
+    if not value:
+        raise UnresolvedReference(f"--{option} is required")
+    return value
+
+
 def _resolve_cog(args, ws: cio.Workspace):
-    if not args.cog:
-        raise UnresolvedReference("--cog is required")
-    return ws.cog(args.cog)
+    return ws.cog(_required(args, "cog"))
 
 
 def cmd_local_cog(args, ws) -> int:
-    L = build_local_cog(_resolve_cog(args, ws), args.vertex)
+    L = build_local_cog(_resolve_cog(args, ws), _required(args, "vertex"))
     _emit(cio.dumps(cio.cog_to_json(L.cog, id=f"{args.cog}.local.{args.vertex}")), args.emit)
     return 0
 
 
 def cmd_theta(args, ws) -> int:
-    L = build_local_cog(_resolve_cog(args, ws), args.vertex)
+    L = build_local_cog(_resolve_cog(args, ws), _required(args, "vertex"))
     theta = build_theta(L)
     _emit(
         cio.dumps(cio.morphism_to_group_to_json(theta, id=f"{args.cog}.theta.{args.vertex}")),
@@ -102,7 +107,7 @@ def cmd_theta(args, ws) -> int:
 
 
 def cmd_sigma(args, ws) -> int:
-    L = build_local_cog(_resolve_cog(args, ws), args.vertex)
+    L = build_local_cog(_resolve_cog(args, ws), _required(args, "vertex"))
     sigma = build_sigma(L)
     _emit(
         cio.dumps(cio.cog_morphism_to_json(sigma, id=f"{args.cog}.sigma.{args.vertex}")),
@@ -112,7 +117,7 @@ def cmd_sigma(args, ws) -> int:
 
 
 def cmd_local_dev(args, ws) -> int:
-    dev = build_local_development(_resolve_cog(args, ws), args.vertex)
+    dev = build_local_development(_resolve_cog(args, ws), _required(args, "vertex"))
     _emit(
         cio.dumps(cio.scwol_to_json(dev.scwol, id=f"{args.cog}.localdev.{args.vertex}")),
         args.emit,
@@ -121,7 +126,7 @@ def cmd_local_dev(args, ws) -> int:
 
 
 def cmd_develop(args, ws) -> int:
-    phi = ws.morphism_to_group(args.mor)
+    phi = ws.morphism_to_group(_required(args, "mor"))
     if args.cog and phi.source.label != args.cog:
         raise UnresolvedReference(
             f"morphism {args.mor!r} lives on {phi.source.label!r}, not {args.cog!r}"
@@ -156,15 +161,13 @@ def cmd_abel(args, ws) -> int:
 
 
 def cmd_export_pres(args, ws) -> int:
-    if not args.pres:
-        raise UnresolvedReference("--pres is required")
-    P = cio.presentation_from_json(cio.read_document(args.pres))
+    P = cio.presentation_from_json(cio.read_document(_required(args, "pres")))
     _emit(export(P, args.format), args.emit)
     return 0
 
 
 def cmd_immerse(args, ws) -> int:
-    phi = ws.cog_morphism(args.mor)
+    phi = ws.cog_morphism(_required(args, "mor"))
     rep = check_immersion(phi)
     witnesses = {
         "algebraic_failures": sorted(o for o, ok in rep.algebraic.items() if not ok),
@@ -214,9 +217,7 @@ def cmd_iso(args, ws) -> int:
 
 
 def cmd_realize(args, ws) -> int:
-    if not args.scwol:
-        raise UnresolvedReference("--scwol is required")
-    ex = geometric_realization(ws.scwol(args.scwol))
+    ex = geometric_realization(ws.scwol(_required(args, "scwol")))
     if args.format == "off":
         _emit(cio.realization_to_off(ex), args.emit)
     else:

@@ -17,7 +17,15 @@ from dataclasses import dataclass, field
 
 from . import groups
 from .groups import FiniteGroup, GroupHom
-from .scwols import Failure, Scwol, ScwolMorphism, ValidationReport, chains, validate_scwol_morphism
+from .scwols import (
+    Failure,
+    Scwol,
+    ScwolMorphism,
+    ValidationReport,
+    chains,
+    extend_chains,
+    validate_scwol_morphism,
+)
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,7 @@ def validate_cog(C: ComplexOfGroups) -> ValidationReport:
                     )
                 )
                 break
-    for a, b, c in chains(S, 3):
+    for a, b, c in extend_chains(S, pairs):
         ab = S.comp[(a, b)]
         bc = S.comp[(b, c)]
         Gt = C.group_of[S.tgt(a)]

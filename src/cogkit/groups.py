@@ -356,11 +356,6 @@ class CosetSpace:
         return self.reps[self.index_of[g]]
 
 
-def left_coset_rep(G: FiniteGroup, g: int, subgroup: Iterable[int]) -> int:
-    """Least element of the left coset g*H."""
-    return min(G.mult[g][h] for h in subgroup)
-
-
 def cosets(G: FiniteGroup, subgroup_elements: Iterable[int]) -> CosetSpace:
     """Partition G into left cosets g*H, ids ordered by least-element rep."""
     sub = tuple(sorted(set(subgroup_elements)))

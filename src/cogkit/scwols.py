@@ -108,8 +108,9 @@ def validate_scwol(S: Scwol) -> ValidationReport:
     if failures:
         return ValidationReport(False, tuple(failures))
 
-    composable = set(chains(S, 2))
-    for pair in sorted(composable):
+    pairs = chains(S, 2)
+    composable = set(pairs)
+    for pair in pairs:
         if pair not in S.comp:
             failures.append(
                 Failure("MissingComposite", pair, f"composable pair {pair} has no composite")
@@ -134,7 +135,7 @@ def validate_scwol(S: Scwol) -> ValidationReport:
                 )
             )
     if not failures:
-        for a, b, c in chains(S, 3):
+        for a, b, c in extend_chains(S, pairs):
             left = S.comp.get((S.comp[(a, b)], c))
             right = S.comp.get((a, S.comp[(b, c)]))
             if left is None or right is None or left != right:
@@ -170,8 +171,14 @@ def chains(S: Scwol, k: int) -> list[tuple[str, ...]]:
         raise ValueError("k must be positive")
     out: list[tuple[str, ...]] = [(m.id,) for m in S.morphisms]
     for _ in range(k - 1):
-        out = [chain + (b,) for chain in out for b in S.into(S.src(chain[-1]))]
+        out = extend_chains(S, out)
     return sorted(out)
+
+
+def extend_chains(S: Scwol, level: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
+    """Each chain of ``level`` followed by every morphism composable after
+    its last; a sorted ``level`` gives a sorted result, as ``into`` is sorted."""
+    return [chain + (b,) for chain in level for b in S.into(S.src(chain[-1]))]
 
 
 # -- morphisms of scwols -----------------------------------------------------

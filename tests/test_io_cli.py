@@ -222,6 +222,18 @@ def test_cli_unknown_vertex_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_missing_vertex_option_exits_2(capsys):
+    for command in ("local-cog", "theta", "sigma", "local-dev"):
+        assert run_cli(command, "--dir", FIXTURES, "--cog", "star-s3") == 2
+        assert capsys.readouterr().err == "error: --vertex is required\n"
+
+
+def test_cli_missing_mor_option_exits_2(capsys):
+    for command in ("develop", "immerse"):
+        assert run_cli(command, "--dir", FIXTURES) == 2
+        assert capsys.readouterr().err == "error: --mor is required\n"
+
+
 def test_cli_missing_pres_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert run_cli("abel", "--pres", missing, "--dir", FIXTURES) == 2
