@@ -48,26 +48,29 @@ class ImmersionReport:
 def _coset_map(phi: CogMorphism) -> CosetMap:
     """For each sigma and each c into sigma, send the rep r of
     H_sigma / psi_c(H_i(c)) to the rep of phi_sigma(r) phi(c) modulo
-    psi_f(c)(G_i(f(c))); the image coset lies over f(c).  Each target coset
-    space is built once, keyed by the target morphism f(c)."""
+    psi_f(c)(G_i(f(c))); the image coset lies over f(c).  Each coset space is
+    built once per call, keyed by its group's object and its subgroup: upper
+    morphisms with the same image share one."""
     H, Gx = phi.source, phi.target
     Y, X = H.base, Gx.base
-    targets: dict[str, CosetSpace] = {}
+    targets: dict[tuple[str, tuple[int, ...]], CosetSpace] = {}
     out: CosetMap = {}
     for sigma in sorted(Y.objects):
         Hs = H.group_of[sigma]
         phi_sigma = phi.phi_local[sigma]
+        sources: dict[tuple[int, ...], tuple[int, ...]] = {}
         out[sigma] = {}
         for c in Y.into(sigma):
             j = phi.f.mor(c)
             G = Gx.group_of[X.tgt(j)]
-            if j not in targets:
-                targets[j] = groups.cosets(G, groups.hom_image(Gx.psi[j]))
+            target = (X.tgt(j), groups.hom_image(Gx.psi[j]))
+            if target not in targets:
+                targets[target] = groups.cosets(G, target[1])
+            image = groups.hom_image(H.psi[c])
+            if image not in sources:
+                sources[image] = groups.cosets(Hs, image).reps
             e = phi.phi_edge[c]
-            out[sigma][c] = {
-                r: targets[j].rep_of(G.mul(phi_sigma(r), e))
-                for r in groups.cosets(Hs, groups.hom_image(H.psi[c])).reps
-            }
+            out[sigma][c] = {r: targets[target].rep_of(G.mul(phi_sigma(r), e)) for r in sources[image]}
     return out
 
 

@@ -6,8 +6,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cogkit import groups
+from cogkit import corpus, groups
 from cogkit.errors import (
     ClosureTooLarge,
     IndexOutOfRange,
@@ -75,14 +77,156 @@ def test_s3_from_table_all_triples_and_inverses():
 def test_table_errors_carry_witnesses():
     with pytest.raises(NoIdentity):
         groups.from_cayley_table([[1, 0], [0, 1]], 0)
-    # 3-element magma that breaks associativity
+    # 3-element magma with a two-sided identity that breaks associativity:
+    # (1*1)*1 = 2*1 = 1 but 1*(1*1) = 1*2 = 0
     bad = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
-    with pytest.raises((NotAssociative, NoIdentity, NoInverse)):
+    assert _brute_associative(bad) == (1, 1, 1)
+    with pytest.raises(NotAssociative, match=r"^associativity fails at triple \(1, 1, 1\)$"):
         groups.from_cayley_table(bad, 0)
+    # associative (a monoid) but 1 has no inverse
+    with pytest.raises(NoInverse, match=r"^element 1 has no two-sided inverse$"):
+        groups.from_cayley_table([[0, 1], [1, 1]], 0)
     with pytest.raises(IndexOutOfRange):
         groups.from_cayley_table([[0, 1], [1, 9]], 0)
     with pytest.raises(IndexOutOfRange):
         groups.from_cayley_table([[0, 1], [1, 0]], 5)
+
+
+# -- Light's associativity test against the O(n^3) scan ---------------------
+
+def _brute_associative(table):
+    """The lexicographically first triple with (xy)z != x(yz), or None: all n^3 tried."""
+    for x, y, z in itertools.product(range(len(table)), repeat=3):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return (x, y, z)
+    return None
+
+
+def brute_verdict(table, identity):
+    """What a table with a valid two-sided identity must give: (mult, inv), or
+    (error class, message), decided by the exhaustive scans."""
+    triple = _brute_associative(table)
+    if triple is not None:
+        return NotAssociative, f"associativity fails at triple {triple}"
+    inv = []
+    for x in range(len(table)):
+        both = [y for y in range(len(table)) if table[x][y] == identity == table[y][x]]
+        if not both:
+            return NoInverse, f"element {x} has no two-sided inverse"
+        inv.append(both[0])
+    return tuple(map(tuple, table)), tuple(inv)
+
+
+def verdict(table, identity):
+    try:
+        G = groups.from_cayley_table(table, identity)
+    except (NotAssociative, NoInverse) as exc:
+        return type(exc), str(exc)
+    return G.mult, G.inv
+
+
+# the smallest non-associative loop: a Latin square with identity 0 and
+# x*x = 0 for all x, which no group of order 5 has
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def loop_product(K, group_first):
+    """K x LOOP5 with (g, a) numbered a*|K| + g when ``group_first`` (the
+    group's elements, which do not generate, come first) and g*5 + a otherwise."""
+    n = K.order
+
+    def index(g, a):
+        return a * n + g if group_first else g * 5 + a
+
+    table = [[0] * (5 * n) for _ in range(5 * n)]
+    for g, h in itertools.product(range(n), repeat=2):
+        for a, b in itertools.product(range(5), repeat=2):
+            table[index(g, a)][index(h, b)] = index(K.mul(g, h), LOOP5[a][b])
+    return table, index(K.identity, 0), [index(g, 0) for g in range(n)]
+
+
+def relabelled(table, seed):
+    """The same magma with its elements renamed by a seeded shuffle, and the renaming."""
+    n = len(table)
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[label[x]][label[y]] = label[table[x][y]]
+    return out, label
+
+
+def test_loop5_is_a_non_associative_loop():
+    for row in LOOP5 + [list(col) for col in zip(*LOOP5)]:
+        assert sorted(row) == list(range(5))
+    assert _brute_associative(LOOP5) is not None
+
+
+@pytest.mark.parametrize("K", [groups.cyclic_group(2), groups.symmetric_group(3)], ids=["C2", "S3"])
+@pytest.mark.parametrize("group_first", [True, False])
+def test_non_associative_loop_products_are_rejected(K, group_first):
+    """Every (g, e) is middle-associative, so a test on those elements alone
+    would pass; they form a closed subset, so they do not generate, and the
+    table must still be rejected with the oracle's witness, under any labelling."""
+    table, identity, middle = loop_product(K, group_first)
+    n = len(table)
+    for s in middle:
+        assert all(table[table[x][s]][y] == table[x][table[s][y]] for x in range(n) for y in range(n))
+    assert {table[s][t] for s in middle for t in middle} == set(middle)
+    for seed in (None, 1, 2):
+        t, e = table, identity
+        if seed is not None:
+            t, label = relabelled(table, seed)
+            e = label[identity]
+        expected = brute_verdict(t, e)
+        assert expected[0] is NotAssociative
+        assert verdict(t, e) == expected
+
+
+@st.composite
+def swapped_catalog_tables(draw):
+    """A catalog group's table with two entries off the identity's row and column swapped."""
+    G = draw(st.sampled_from([G for G in corpus.catalog() if G.order > 2]))
+    rest = st.sampled_from([x for x in G.elements() if x != G.identity])
+    (x1, y1), (x2, y2) = draw(st.tuples(rest, rest)), draw(st.tuples(rest, rest))
+    table = [list(row) for row in G.mult]
+    table[x1][y1], table[x2][y2] = table[x2][y2], table[x1][y1]
+    return table, G.identity
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(swapped_catalog_tables())
+def test_swapped_catalog_tables_agree_with_the_exhaustive_oracle(case):
+    table, identity = case
+    assert verdict(table, identity) == brute_verdict(table, identity)
+
+
+def test_group_tables_give_the_same_group_as_before():
+    for G in corpus.catalog():
+        table = [list(row) for row in G.mult]
+        assert verdict(table, G.identity) == brute_verdict(table, G.identity) == (G.mult, G.inv)
+    # S5 x C2 and relabelled S5 are too large for the O(n^3) oracle in this
+    # suite; their inverses come from the permutations instead
+    s5 = list(itertools.permutations(range(5)))
+    s5xc2 = [p + q for q in ((5, 6), (6, 5)) for p in s5]
+    for perms, seed in ((s5xc2, None), (s5, 3), (s5xc2, 4)):
+        index = {p: k for k, p in enumerate(perms)}
+        table = [[index[perm_compose(p, q)] for q in perms] for p in perms]
+        inv = [index[tuple(sorted(range(len(p)), key=p.__getitem__))] for p in perms]
+        identity = index[tuple(range(len(perms[0])))]
+        if seed is not None:
+            table, label = relabelled(table, seed)
+            identity = label[identity]
+            inv = [label[inv[x]] for x in sorted(range(len(perms)), key=label.__getitem__)]
+        G = groups.from_cayley_table(table, identity)
+        assert G.mult == tuple(map(tuple, table)) and G.inv == tuple(inv)
 
 
 # -- from_permutation_generators ---------------------------------------------
