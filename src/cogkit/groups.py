@@ -33,6 +33,8 @@ class FiniteGroup:
     identity: int
     inv: tuple[int, ...]
     label: str = field(default="G", compare=False)
+    # sorted subgroup tuple -> its CosetSpace, filled by ``cosets``
+    _cosets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def mul(self, x: int, y: int) -> int:
         return self.mult[x][y]
@@ -396,8 +398,15 @@ class CosetSpace:
 
 
 def cosets(G: FiniteGroup, subgroup_elements: Iterable[int]) -> CosetSpace:
-    """Partition G into left cosets g*H, ids ordered by least-element rep."""
+    """Partition G into left cosets g*H, ids ordered by least-element rep.
+
+    The space is built once per (group, subgroup) and kept on G, which is
+    immutable; a subset that is not a subgroup is rejected on every call.
+    """
     sub = tuple(sorted(set(subgroup_elements)))
+    space = G._cosets.get(sub)
+    if space is not None:
+        return space
     if G.identity not in sub:
         raise NotASubgroup("identity missing from subgroup")
     subset = set(sub)
@@ -416,7 +425,9 @@ def cosets(G: FiniteGroup, subgroup_elements: Iterable[int]) -> CosetSpace:
         reps.append(g)
         for h in sub:
             index_of[G.mult[g][h]] = cid
-    return CosetSpace(ambient=G, subgroup=sub, reps=tuple(reps), index_of=tuple(index_of))
+    space = CosetSpace(ambient=G, subgroup=sub, reps=tuple(reps), index_of=tuple(index_of))
+    G._cosets[sub] = space
+    return space
 
 
 # -- abelian invariants ----------------------------------------------------

@@ -26,7 +26,6 @@ so they agree on G_{i(a)} once they agree on S_{i(a)}.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
@@ -94,40 +93,36 @@ def pi1_presentation(C: ComplexOfGroups, T: Iterable[str]) -> GroupPresentation:
 
     objects = sorted(S.objects)
     gens: list[Gen] = []
+    offset: dict[str, int] = {}  # v[o:x] is generator offset[o] + x
     for o in objects:
-        for x in C.group_of[o].elements():
-            gens.append(("v", o, x))
+        offset[o] = len(gens)
+        gens.extend(("v", o, x) for x in C.group_of[o].elements())
     mor_ids = sorted(m.id for m in S.morphisms)
-    for a in mor_ids:
-        gens.append(("e", a))
-    index = {g: k for k, g in enumerate(gens)}
-
-    def v(o: str, x: int) -> int:
-        return index[("v", o, x)]
-
-    def e(a: str) -> int:
-        return index[("e", a)]
+    edge = {a: len(gens) + k for k, a in enumerate(mor_ids)}
+    gens.extend(("e", a) for a in mor_ids)
 
     gen_sets = {o: groups.generating_set(C.group_of[o]) for o in objects}
     relators: list[Word] = []
     for o in objects:
         G = C.group_of[o]
-        relators.append(((v(o, G.identity), 1),))
+        base = offset[o]
+        relators.append(((base + G.identity, 1),))
         for x in G.elements():
+            row = G.mult[x]
             for s in gen_sets[o]:
-                relators.append(((v(o, x), 1), (v(o, s), 1), (v(o, G.mul(x, s)), -1)))
+                relators.append(((base + x, 1), (base + s, 1), (base + row[s], -1)))
     for (a, b) in sorted(S.comp):
         ab = S.comp[(a, b)]
         relators.append(
-            ((e(a), 1), (e(b), 1), (e(ab), -1), (v(S.tgt(a), C.twist[(a, b)]), -1))
+            ((edge[a], 1), (edge[b], 1), (edge[ab], -1), (offset[S.tgt(a)] + C.twist[(a, b)], -1))
         )
     for a in mor_ids:
         m = S.mor_by_id[a]
         psi = C.psi[a]
         for s in gen_sets[m.i]:
-            relators.append(((e(a), 1), (v(m.i, s), 1), (e(a), -1), (v(m.t, psi(s)), -1)))
+            relators.append(((edge[a], 1), (offset[m.i] + s, 1), (edge[a], -1), (offset[m.t] + psi(s), -1)))
     for a in tree:
-        relators.append(((e(a), 1),))
+        relators.append(((edge[a], 1),))
     return GroupPresentation(
         generators=tuple(gens), relators=tuple(relators), tree=tree, label=f"pi1({C.label})"
     )
@@ -277,8 +272,11 @@ def abelianization(P: GroupPresentation) -> list[int]:
     for w in P.relators:
         row: dict[int, int] = {}
         for gen, sign in w:
-            row[gen] = row.get(gen, 0) + sign
-        row = {c: v for c, v in row.items() if v}
+            new = row.get(gen, 0) + sign
+            if new:
+                row[gen] = new
+            else:
+                del row[gen]
         if row:
             rows.append(row)
     invariants, rank = snf_invariants(rows, ncols)
@@ -289,13 +287,16 @@ def abelianization(P: GroupPresentation) -> list[int]:
 def snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], int]:
     """Invariant factors (with 1s) and the rank of a sparse integer matrix.
 
-    Unit entries are eliminated sparsely first, in Markowitz order: the next
-    pivot is a ±1 entry of least cost (row length - 1)(column count - 1),
-    the most fill-in its elimination can cause (Havas-Holt-Rees,
-    "Recognizing badly presented Z-modules", 1993).  Candidates wait in a
-    heap; a popped cost that has grown since it was pushed is pushed back,
-    and each changed row pushes its unit entries again.  The small
-    remainder goes through the textbook Smith reduction.
+    Unit entries are eliminated sparsely first.  The pivot row is a shortest
+    live row holding a ±1 entry, and the pivot is its unit whose column
+    meets the fewest rows: Markowitz cost (Havas-Holt-Rees, "Recognizing
+    badly presented Z-modules", 1993) minimised over the shortest rows.
+    Rows holding a unit wait in buckets by length, and each row that an
+    elimination changes is filed again.  An elimination is a unimodular row
+    operation, then the removal of a row and a column that meet only in the
+    unit; neither changes the invariant factors (the quotients of the
+    determinantal divisors), so the pivot order sets the cost, not the
+    result.  The small remainder goes through the textbook Smith reduction.
     """
     live = {r: dict(row) for r, row in enumerate(rows) if row}
     col_rows: dict[int, set[int]] = {}
@@ -303,30 +304,27 @@ def snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], i
         for c in row:
             col_rows.setdefault(c, set()).add(r)
 
-    heap = [
-        ((len(row) - 1) * (len(col_rows[c]) - 1), r, c)
-        for r, row in live.items()
-        for c, val in row.items()
-        if val in (1, -1)
-    ]
-    heapq.heapify(heap)
+    by_len: list[set[int]] = [set() for _ in range(len(col_rows) + 1)]
+    for r, row in live.items():
+        vals = row.values()
+        if 1 in vals or -1 in vals:
+            by_len[len(row)].add(r)
     rank_units = 0
-    while heap:
-        old_cost, r, c = heapq.heappop(heap)
-        row = live.get(r)
-        if row is None or row.get(c) not in (1, -1):
+    n = 1
+    while n < len(by_len):
+        if not by_len[n]:
+            n += 1
             continue
-        now = (len(row) - 1) * (len(col_rows[c]) - 1)
-        if now > old_cost:
-            heapq.heappush(heap, (now, r, c))
-            continue
+        r = by_len[n].pop()
         base = live.pop(r)
+        c = min((k for k, val in base.items() if val in (1, -1)), key=lambda k: len(col_rows[k]))
         if base[c] == -1:
             base = {k: -val for k, val in base.items()}
         for k in base:
             col_rows[k].discard(r)
         for rj in col_rows.pop(c):
             row = live[rj]
+            by_len[len(row)].discard(rj)
             q = row[c]
             for k, val in base.items():
                 new = row.get(k, 0) - q * val
@@ -341,10 +339,10 @@ def snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], i
             if not row:
                 del live[rj]
                 continue
-            length = len(row) - 1
-            for k, val in row.items():
-                if val in (1, -1):
-                    heapq.heappush(heap, (length * (len(col_rows[k]) - 1), rj, k))
+            vals = row.values()
+            if 1 in vals or -1 in vals:
+                by_len[len(row)].add(rj)
+                n = min(n, len(row))
         rank_units += 1
     cols = sorted(c for c, rs in col_rows.items() if rs)
     if not cols:

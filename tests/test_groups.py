@@ -351,10 +351,32 @@ def test_cosets_s3_z2_matches_oracle():
 
 
 def test_cosets_rejects_non_subgroup():
+    """On every call: a rejected subset is never kept."""
     S3 = groups.symmetric_group(3)
     cyc = next(x for x in S3.elements() if S3.element_order(x) == 3)
-    with pytest.raises(NotASubgroup):
-        groups.cosets(S3, [S3.identity, cyc])  # not closed: misses cyc^2
+    for _ in range(3):
+        with pytest.raises(NotASubgroup):
+            groups.cosets(S3, [S3.identity, cyc])  # not closed: misses cyc^2
+    assert len(groups.cosets(S3, [S3.identity, cyc, S3.mul(cyc, cyc)])) == 2
+
+
+def test_cosets_are_kept_per_group_and_subgroup():
+    """A second call returns the kept space, which equals a fresh computation;
+    the memo takes no part in equality, hashing or the group's JSON."""
+    from cogkit.io import group_to_json
+
+    S4 = groups.symmetric_group(4)
+    twin = groups.from_cayley_table(S4.mult, S4.identity, label=S4.label)
+    assert twin == S4 and hash(twin) == hash(S4)
+    before = group_to_json(S4)
+    sub = groups.subgroup_closure(S4, [next(x for x in S4.elements() if S4.element_order(x) == 4)])
+    first = groups.cosets(S4, sub)
+    assert groups.cosets(S4, reversed(sub)) is first
+    assert twin == S4 and hash(twin) == hash(S4)
+    assert group_to_json(S4) == before
+    fresh = groups.cosets(twin, sub)
+    assert fresh is not first and fresh == first
+    assert twin == S4 and hash(twin) == hash(S4)
 
 
 # -- homs ----------------------------------------------------------------

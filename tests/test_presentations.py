@@ -10,6 +10,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cogkit import groups, io as cio
 from cogkit.complexes import ComplexOfGroups
@@ -82,7 +84,7 @@ def test_snf_against_sympy_randomized():
 
 def test_snf_against_sympy_unit_heavy_sparse():
     """Larger sparse matrices, mostly +-1 with a few larger entries, so that both
-    the Markowitz unit elimination and the dense remainder do work."""
+    the sparse unit elimination and the dense remainder do work."""
     rng = random.Random(2026)
     saw_unit, saw_torsion = False, False
     for trial in range(12):
@@ -100,6 +102,63 @@ def test_snf_against_sympy_unit_heavy_sparse():
         saw_unit |= 1 in got_inv
         saw_torsion |= any(d > 1 for d in got_inv)
     assert saw_unit and saw_torsion
+
+
+SNF_ENTRIES = st.sampled_from((1, -1, 1, -1, 2, -2, 3, -3, 6))
+
+
+@st.composite
+def snf_matrices(draw):
+    """Sparse matrices shaped to reach each case of the unit pivot rule.
+
+    - a block of rows of one length, so the shortest bucket holds ties;
+    - copies and negated copies of rows, which cancel to zero rows;
+    - pairs {a: 1, b: k}, {a: 1, b: k + 1} with k >= 2, whose second row
+      holds a unit in column b only after the first is eliminated;
+    - optionally an arrowhead: one column present in every row, or the
+      transpose, one row meeting every column.
+    """
+    ncols = draw(st.integers(2, 7))
+    width = draw(st.integers(1, ncols))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=width, max_size=width, unique=True))
+        rows.append({c: draw(SNF_ENTRIES) for c in cols})
+    for row in draw(st.lists(st.sampled_from(rows), max_size=3)):
+        sign = draw(st.sampled_from((1, -1)))
+        rows.append({c: sign * v for c, v in row.items()})
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.lists(st.integers(0, ncols - 1), min_size=2, max_size=2, unique=True))
+        k = draw(st.sampled_from((2, 3, -2, -3)))
+        rows += [{a: 1, b: k}, {a: 1, b: k + 1}]
+    if draw(st.booleans()):
+        hub = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[hub] = draw(SNF_ENTRIES)
+    if draw(st.booleans()):
+        cols = [{} for _ in range(ncols)]
+        for r, row in enumerate(rows):
+            for c, v in row.items():
+                cols[c][r] = v
+        rows, ncols = [col for col in cols if col], len(rows)
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(snf_matrices())
+@example(([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}], 3))  # ties in row length
+@example(([{0: 1, 1: 2}, {0: 1, 1: 2}, {0: -1, 1: -2}, {1: 4}], 2))  # rows cancel to zero
+@example(([{0: 1, 1: 2}, {0: 1, 2: 3}, {0: 1, 3: 4}, {0: 2, 1: 1, 2: 1, 3: 1}], 4))  # arrowhead
+@example(([{0: 1, 1: 1, 2: 1, 3: 2}, {0: 2}, {1: 3}, {2: 4}, {3: 1}], 4))  # its transpose
+@example(([{0: 1, 1: 3, 2: 2}, {0: 1, 1: 2, 2: 5}, {2: 6}], 3))  # 2 and 3 leave a unit
+def test_snf_pivot_rule_against_sympy(case):
+    rows, ncols = case
+    copies = [dict(row) for row in rows]
+    got_inv, got_rank = snf_invariants(rows, ncols)
+    assert rows == copies  # the input rows are not modified
+    want_inv, want_rank = snf_oracle(rows, ncols)
+    assert got_rank == want_rank
+    assert sorted(got_inv) == want_inv
 
 
 def test_snf_known_matrices():
