@@ -11,6 +11,7 @@ corpus complex comes with a developability certificate.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -96,8 +97,6 @@ def _random_simplicial_scwol(rng: random.Random) -> Scwol:
                     edges.add(frozenset((a, b)))
         triangles = []
         if nv >= 3:
-            import itertools
-
             for tri in itertools.combinations(sorted(verts), 3):
                 sides = [frozenset(p) for p in itertools.combinations(tri, 2)]
                 if all(s in edges for s in sides) and rng.random() < 0.8:
@@ -117,14 +116,12 @@ def _random_layered_scwol(rng: random.Random) -> Scwol:
         if sum(sizes) > MAX_OBJECTS:
             continue
         layers = []
-        k = 0
         for h, size in enumerate(sizes):
             layers.append([f"n{h}_{i}" for i in range(size)])
         below: dict[str, set[str]] = {}
         for h in range(height):
             for x in layers[h]:
                 below[x] = set()
-        ok = True
         for h in range(1, height):
             for x in layers[h]:
                 kids = [y for y in layers[h - 1] if rng.random() < 0.7]

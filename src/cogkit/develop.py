@@ -7,7 +7,6 @@ object ordering is (base object id, coset rep).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,17 +73,30 @@ def build_local_development(C: ComplexOfGroups, gamma: str) -> LocalDevelopment:
 
 @dataclass(frozen=True)
 class Development:
-    """D(Y, phi): coset-indexed scwol with its group action and projection."""
+    """D(Y, phi): coset-indexed scwol with its projection; G acts on the left.
+
+    A cell x@r is one coset r im(phi_x) (r im(phi_i(a)) for a morphism a);
+    ``obj_info`` and ``mor_info`` give each cell's (coset rep, base cell), and
+    ``act`` computes the action from them.
+    """
 
     scwol: Scwol
     base: Scwol
     group: FiniteGroup
     morphism: MorphismToGroup
     projection: ScwolMorphism
-    action: dict[int, tuple[dict[str, str], dict[str, str]]]
     obj_info: dict[str, tuple[int, str]]  # object id -> (coset rep, base object)
     mor_info: dict[str, tuple[int, str]]  # morphism id -> (coset rep, base morphism)
     coset_spaces: dict[str, CosetSpace]  # per base object
+
+    def act(self, g: int) -> tuple[dict[str, str], dict[str, str]]:
+        """g's maps on object and morphism ids: g.(x@r) = x@rep_of(g r), in the
+        cosets of x's image (of i(a)'s, for a morphism a@r)."""
+        row = self.group.mult[g]
+        spaces, src = self.coset_spaces, self.base.src
+        omap = {oid: f"{o}@{spaces[o].rep_of(row[rep])}" for oid, (rep, o) in self.obj_info.items()}
+        mmap = {mid: f"{a}@{spaces[src(a)].rep_of(row[rep])}" for mid, (rep, a) in self.mor_info.items()}
+        return omap, mmap
 
 
 def development_size(C: ComplexOfGroups, phi: MorphismToGroup) -> tuple[int, int]:
@@ -121,21 +133,13 @@ def build_development(C: ComplexOfGroups, phi: MorphismToGroup) -> Development:
             mor_info[mid] = (rep, m.id)
 
     comp: dict[tuple[str, str], str] = {}
-    dev_by_base = defaultdict(dict)  # base morphism -> {coset id -> dev morphism id}
-    for mid, (rep, a) in mor_info.items():
-        dev_by_base[a][spaces[S.src(a)].coset_of(rep)] = mid
     for (a, b), ab in S.comp.items():
-        # v runs over lifts of b; the matching lift of a starts at t(v)
+        # v = b@r ends at t(b)@rep_of(r phi(b)^-1), the source of the lift of a it meets
         e_b_inv = G.inv[phi.phi_edge[b]]
+        space_a, space_ab = spaces[S.src(a)], spaces[S.src(ab)]
         for rep_v in spaces[S.src(b)].reps:
-            v_id = f"{b}@{rep_v}"
-            u_rep = G.mul(rep_v, e_b_inv)
-            u_id = dev_by_base[a].get(spaces[S.src(a)].coset_of(u_rep))
-            if u_id is None:
-                raise CompositionUnderdetermined(
-                    f"no lift of {a!r} over coset of {u_rep} meets lift {v_id!r}"
-                )
-            comp[(u_id, v_id)] = f"{ab}@{spaces[S.src(ab)].rep_of(rep_v)}"
+            u_id = f"{a}@{space_a.rep_of(G.mul(rep_v, e_b_inv))}"
+            comp[(u_id, f"{b}@{rep_v}")] = f"{ab}@{space_ab.rep_of(rep_v)}"
 
     scwol = Scwol(objects, mors, comp, label=f"D({S.label})")
 
@@ -146,23 +150,12 @@ def build_development(C: ComplexOfGroups, phi: MorphismToGroup) -> Development:
         on_morphisms={mid: a for mid, (_, a) in mor_info.items()},
     )
 
-    action: dict[int, tuple[dict[str, str], dict[str, str]]] = {}
-    for g in G.elements():
-        omap = {}
-        for oid, (rep, o) in obj_info.items():
-            omap[oid] = f"{o}@{spaces[o].rep_of(G.mul(g, rep))}"
-        mmap = {}
-        for mid, (rep, a) in mor_info.items():
-            mmap[mid] = f"{a}@{spaces[S.src(a)].rep_of(G.mul(g, rep))}"
-        action[g] = (omap, mmap)
-
     return Development(
         scwol=scwol,
         base=S,
         group=G,
         morphism=phi,
         projection=projection,
-        action=action,
         obj_info=obj_info,
         mor_info=mor_info,
         coset_spaces=spaces,
@@ -170,13 +163,18 @@ def build_development(C: ComplexOfGroups, phi: MorphismToGroup) -> Development:
 
 
 def check_action(D: Development) -> ValidationReport:
-    """Automorphism action without inversions, stabilizers and orbit bijection."""
+    """Check ``D.act``: each g a functorial permutation (NotBijective,
+    NotFunctorial), a group action (NotAnAction), no inversions
+    (ActionInversion), g fixing i(m) fixes m (StabilizerCondition), and
+    orbits biject with base cells (OrbitMismatch).  Each g's maps are built
+    once per call."""
     failures: list[Failure] = []
     G = D.group
     scwol = D.scwol
     mor_ids = [m.id for m in scwol.morphisms]
+    acts = {g: D.act(g) for g in G.elements()}
     for g in G.elements():
-        omap, mmap = D.action[g]
+        omap, mmap = acts[g]
         if sorted(omap.values()) != sorted(scwol.objects):
             failures.append(Failure("NotBijective", (g,), f"element {g} does not permute objects"))
             continue
@@ -202,7 +200,7 @@ def check_action(D: Development) -> ValidationReport:
         for h in gens:
             gh = G.mul(g, h)
             for oid in scwol.objects:
-                if D.action[g][0][D.action[h][0][oid]] != D.action[gh][0][oid]:
+                if acts[g][0][acts[h][0][oid]] != acts[gh][0][oid]:
                     failures.append(
                         Failure("NotAnAction", (g, h, oid), f"action law fails at ({g}, {h}, {oid!r})")
                     )
@@ -212,7 +210,7 @@ def check_action(D: Development) -> ValidationReport:
                 break
     # no inversions and the stabilizer condition
     for g in G.elements():
-        omap, mmap = D.action[g]
+        omap, mmap = acts[g]
         for m in scwol.morphisms:
             if omap[m.i] == m.t:
                 failures.append(
@@ -227,8 +225,8 @@ def check_action(D: Development) -> ValidationReport:
                     )
                 )
     # orbits biject with base objects/morphisms under the projection
-    obj_orbits = _orbits(scwol.objects, {g: D.action[g][0] for g in G.elements()})
-    mor_orbits = _orbits(mor_ids, {g: D.action[g][1] for g in G.elements()})
+    obj_orbits = _orbits(scwol.objects, {g: omap for g, (omap, _) in acts.items()})
+    mor_orbits = _orbits(mor_ids, {g: mmap for g, (_, mmap) in acts.items()})
     if len(obj_orbits) != len(D.base.objects):
         failures.append(
             Failure(
@@ -268,7 +266,11 @@ def _orbits(items, maps):
 
 
 def stabilizer_order(D: Development, oid: str) -> int:
-    return sum(1 for g in D.group.elements() if D.action[g][0][oid] == oid)
+    """|Stab(x@r)|: the g with g r in the coset r im(phi_x), by coset arithmetic."""
+    rep, o = D.obj_info[oid]
+    index_of, G = D.coset_spaces[o].index_of, D.group
+    home = index_of[rep]
+    return sum(1 for g in G.elements() if index_of[G.mult[g][rep]] == home)
 
 
 # -- induced morphisms of local developments ----------------------------------

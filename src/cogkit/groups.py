@@ -380,9 +380,11 @@ def subgroup_group(G: FiniteGroup, elements: Iterable[int], label: Optional[str]
 
 @dataclass(frozen=True)
 class CosetSpace:
-    """Left cosets g*H of a subgroup, with canonical least-element reps."""
+    """Left cosets g*H of a subgroup, with canonical least-element reps.
 
-    ambient: FiniteGroup
+    No reference back to the group, whose memo keeps the space: a cycle
+    would leave the group to the cycle collector."""
+
     subgroup: tuple[int, ...]
     reps: tuple[int, ...]
     index_of: tuple[int, ...]
@@ -425,7 +427,7 @@ def cosets(G: FiniteGroup, subgroup_elements: Iterable[int]) -> CosetSpace:
         reps.append(g)
         for h in sub:
             index_of[G.mult[g][h]] = cid
-    space = CosetSpace(ambient=G, subgroup=sub, reps=tuple(reps), index_of=tuple(index_of))
+    space = CosetSpace(subgroup=sub, reps=tuple(reps), index_of=tuple(index_of))
     G._cosets[sub] = space
     return space
 

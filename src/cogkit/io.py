@@ -105,6 +105,10 @@ def cog_morphism_to_json(phi: CogMorphism, id: Optional[str] = None) -> dict:
 
 
 def development_to_json(D: Development, id: Optional[str] = None) -> dict:
+    action = {}
+    for g in D.group.elements():
+        om, mm = D.act(g)
+        action[str(g)] = {"objects": dict(sorted(om.items())), "morphisms": dict(sorted(mm.items()))}
     return {
         "schema": "development/1",
         "id": id or D.scwol.label,
@@ -114,10 +118,7 @@ def development_to_json(D: Development, id: Optional[str] = None) -> dict:
             "objects": dict(sorted(D.projection.on_objects.items())),
             "morphisms": dict(sorted(D.projection.on_morphisms.items())),
         },
-        "action": {
-            str(g): {"objects": dict(sorted(om.items())), "morphisms": dict(sorted(mm.items()))}
-            for g, (om, mm) in D.action.items()
-        },
+        "action": action,
     }
 
 

@@ -270,48 +270,6 @@ def _pair_id(a: str, b: str) -> str:
     return f"{a}{UPPER_EDGE_SEP}{b}"
 
 
-def upper_link(S: Scwol, gamma: str) -> Scwol:
-    """Scwol on the morphisms into gamma; edges are composable pairs (c, d)."""
-    if gamma not in S.object_set:
-        raise UnknownObject(f"object {gamma!r} not in {S.label}")
-    objs = sorted(S.into(gamma))
-    mors = []
-    parts = {}  # edge id -> (c, d)
-    for c in objs:
-        for d in S.into(S.src(c)):
-            mid = _pair_id(c, d)
-            mors.append(Morphism(mid, S.comp[(c, d)], c))
-            parts[mid] = (c, d)
-    comp = {}
-    for u, v in itertools.product(mors, repeat=2):
-        if u.i == v.t:  # u = (c,d), v = (cd,d'): composite (c, dd')
-            c, d = parts[u.id]
-            d2 = parts[v.id][1]
-            comp[(u.id, v.id)] = _pair_id(c, S.comp[(d, d2)])
-    return Scwol(objs, mors, comp, label=f"Lk_{gamma}")
-
-
-def lower_link(S: Scwol, gamma: str) -> Scwol:
-    """Scwol on the morphisms out of gamma; edges are composable pairs (a, b)."""
-    if gamma not in S.object_set:
-        raise UnknownObject(f"object {gamma!r} not in {S.label}")
-    objs = sorted(S.out_of(gamma))
-    mors = []
-    parts = {}
-    for b in objs:
-        for a in S.out_of(S.tgt(b)):
-            mid = _pair_id(a, b)
-            mors.append(Morphism(mid, b, S.comp[(a, b)]))
-            parts[mid] = (a, b)
-    comp = {}
-    for u, v in itertools.product(mors, repeat=2):
-        if u.i == v.t:  # u = (a', ab), v = (a, b): composite (a'a, b)
-            a1 = parts[u.id][0]
-            a2, b2 = parts[v.id]
-            comp[(u.id, v.id)] = _pair_id(S.comp[(a1, a2)], b2)
-    return Scwol(objs, mors, comp, label=f"Lk^{gamma}")
-
-
 # morphism families whose source is an upper object; they carry its rep
 UPPER_SOURCED = ("lk_up", "gamma_c", "b_c")
 
@@ -420,6 +378,25 @@ class StarScwol(Scwol):
 def star_scwol(S: Scwol, gamma: str) -> StarScwol:
     """The star of gamma: the five families over one-point fibers."""
     return StarScwol(S, gamma, lambda c: (None,), lambda rep, c, d: rep, f"{S.label}({gamma})")
+
+
+def _link(S: Scwol, gamma: str, objects: str, edges: str, label: str) -> Scwol:
+    """One link family of the star of gamma, its ids without family prefixes."""
+    star = star_scwol(S, gamma)
+    name = {x: UPPER_EDGE_SEP.join(f[2:]) for f, x in star.id_of.items() if f[0] in (objects, edges)}
+    mors = [Morphism(name[m.id], name[m.i], name[m.t]) for m in star.morphisms if m.id in name]
+    comp = {(name[u], name[v]): name[uv] for (u, v), uv in star.comp.items() if u in name and v in name}
+    return Scwol([name[x] for x in star.objects if x in name], mors, comp, label=label)
+
+
+def upper_link(S: Scwol, gamma: str) -> Scwol:
+    """Scwol on the morphisms c into gamma; edges are composable pairs (c, d)."""
+    return _link(S, gamma, "upper", "lk_up", f"Lk_{gamma}")
+
+
+def lower_link(S: Scwol, gamma: str) -> Scwol:
+    """Scwol on the morphisms b out of gamma; edges are composable pairs (a, b)."""
+    return _link(S, gamma, "lower", "lk_dn", f"Lk^{gamma}")
 
 
 def star_projection(star: StarScwol) -> ScwolMorphism:

@@ -317,7 +317,8 @@ def test_criterion_9_development_actions(local_data, corpus, seg23, seg23_to_z6)
         rep = check_action(D)
         assert rep.ok, rep.failures[:1]
         assert validate_scwol_morphism(D.projection).ok and is_nondegenerate(D.projection)
-        orbits = {frozenset(D.action[g][0][o] for g in D.group.elements()) for o in D.scwol.objects}
+        omaps = [D.act(g)[0] for g in D.group.elements()]
+        orbits = {frozenset(omap[o] for omap in omaps) for o in D.scwol.objects}
         assert len(orbits) == len(D.base.objects)
         for oid, (_, o) in D.obj_info.items():
             assert stabilizer_order(D, oid) == len(set(D.morphism.phi_local[o].image))

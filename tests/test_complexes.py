@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 
 from cogkit import groups
 from cogkit.complexes import (
@@ -199,6 +200,43 @@ def test_morphism_to_group_condition2_detected(triangle_cog):
     rep = validate_morphism_to_group(phi)
     assert not rep.ok
     assert rep.validation.first("Morphism2Fail") is not None
+
+
+
+def test_morphism_to_group_failure_witnesses(seg23, seg23_to_z6, star_s3, triangle_cog):
+    """Each failure code with its witness; a map into the wrong group or an
+    edge element outside G leaves the injectivity report empty."""
+
+    def found(phi):
+        rep = validate_morphism_to_group(phi)
+        return [(f.code, f.witness) for f in rep.validation.failures], rep.injective
+
+    z3 = groups.cyclic_group(3)
+    off_group = dataclasses.replace(
+        seg23_to_z6,
+        phi_local={**seg23_to_z6.phi_local, "v1": groups.trivial_hom(seg23.group_of["v1"], z3)},
+    )
+    assert found(off_group) == ([("LocalHomWrongGroups", ("v1",))], {})
+    off_range = dataclasses.replace(seg23_to_z6, phi_edge={**seg23_to_z6.phi_edge, "a1": 6})
+    assert found(off_range) == ([("EdgeElementWrongGroup", ("a1",))], {})
+    # Ad(phi(c)) moves the transposition of G_m unless phi(c) centralizes it
+    s3 = star_s3.group_of["g"]
+    law1 = MorphismToGroup(
+        source=star_s3,
+        target=s3,
+        phi_local={"g": groups.identity_hom(s3), "m": star_s3.psi["c"]},
+        phi_edge={"c": 2},
+    )
+    assert found(law1) == ([("Morphism1Fail", ("c", 1))], {"g": True, "m": True})
+    z2 = groups.cyclic_group(2)
+    law2 = MorphismToGroup(
+        source=triangle_cog,
+        target=z2,
+        phi_local={o: groups.identity_hom(z2) for o in triangle_cog.base.objects},
+        phi_edge={m.id: 0 for m in triangle_cog.base.morphisms},
+    )
+    failures, injective = found(law2)
+    assert failures == [("Morphism2Fail", ("p.q>p", "p.q.r>p.q"))] and all(injective.values())
 
 
 # -- coboundary -------------------------------------------------------------

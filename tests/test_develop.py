@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import defaultdict
+
 import pytest
 
 from cogkit import groups
@@ -12,7 +15,9 @@ from cogkit.complexes import (
     identity_cog_morphism,
     validate_cog_morphism,
 )
+from cogkit.corpus import build_corpus
 from cogkit.develop import (
+    Development,
     build_development,
     build_local_dev_morphism,
     build_local_development,
@@ -153,7 +158,7 @@ def test_development_action_orbits(star_s3):
     # S3 acts transitively on the three upper-link lifts with order-2 stabilizers
     upper = [oid for oid, (_, o) in D.obj_info.items() if o in L.star.upper]
     assert len(upper) == 3
-    orbit = {D.action[g][0][upper[0]] for g in D.group.elements()}
+    orbit = {D.act(g)[0][upper[0]] for g in D.group.elements()}
     assert orbit == set(upper)
     for oid in upper:
         assert stabilizer_order(D, oid) == 2
@@ -182,10 +187,140 @@ def test_stabilizer_is_conjugate_of_image(seg23, seg23_to_z6):
     D = build_development(seg23, seg23_to_z6)
     G = D.group
     for oid, (rep, o) in D.obj_info.items():
-        stab = {g for g in G.elements() if D.action[g][0][oid] == oid}
+        stab = {g for g in G.elements() if D.act(g)[0][oid] == oid}
         image = set(seg23_to_z6.phi_local[o].image)
         conj = {G.mul(G.mul(rep, k), G.inv[rep]) for k in image}
         assert stab == conj
+
+
+def test_act_matches_a_coset_scan():
+    """act(g) sends x@r to the lift x@s over x whose coset s im(phi_x) holds
+    g r, found by scanning the lifts of x; a@r moves the same way in the
+    cosets of im(phi_i(a))."""
+    sample = []
+    for entry in build_corpus(seed=20260811, count=12):
+        sample.append((entry.complex, entry.to_ambient))
+        gamma = sorted(entry.complex.base.objects)[0]
+        L = build_local_cog(entry.complex, gamma)
+        sample.append((L.cog, build_theta(L)))
+    assert any(len(C.base.comp) for C, _ in sample)
+    for C, phi in sample:
+        D = build_development(C, phi)
+        G = D.group
+        lifts = defaultdict(list)  # base cell -> [(rep, id)] of its lifts
+        for cid, (rep, base) in (*D.obj_info.items(), *D.mor_info.items()):
+            lifts[base].append((rep, cid))
+
+        def scan(base, x, gr):
+            image = set(phi.phi_local[x].image)
+            (hit,) = [cid for s, cid in lifts[base] if G.mul(G.inv[s], gr) in image]
+            return hit
+
+        for g in G.elements():
+            omap, mmap = D.act(g)
+            assert omap == {oid: scan(x, x, G.mul(g, r)) for oid, (r, x) in D.obj_info.items()}
+            assert mmap == {
+                mid: scan(a, C.base.src(a), G.mul(g, r)) for mid, (r, a) in D.mor_info.items()
+            }
+
+
+def _rebuilt(D, objects=None, morphisms=None, comp=None):
+    """D with its scwol rebuilt from altered cells."""
+    S = D.scwol
+    S2 = Scwol(
+        S.objects if objects is None else objects,
+        S.morphisms if morphisms is None else morphisms,
+        S.comp if comp is None else comp,
+        label=S.label,
+    )
+    return dataclasses.replace(D, scwol=S2)
+
+
+def _first(D, code):
+    rep = check_action(D)
+    assert not rep.ok
+    return rep.first(code).witness
+
+
+def test_check_action_not_functorial(seg23, seg23_to_z6, two_simplex):
+    D = build_development(seg23, seg23_to_z6)
+    m0, *rest = D.scwol.morphisms
+    assert (m0.id, m0.t) == ("a0@0", "v0@0")
+    # a0@0 now ends at v0@1; 1 sends it to a0@1, whose target is not 1.v0@1 = v0@2
+    moved = _rebuilt(D, morphisms=[Morphism(m0.id, m0.i, "v0@1"), *rest])
+    assert _first(moved, "NotFunctorial") == (1, "a0@0")
+    # two copies of the 2-simplex swapped by Z/2; one composite redirected
+    C = trivial_cog(two_simplex)
+    z2 = groups.cyclic_group(2)
+    phi = MorphismToGroup(
+        source=C,
+        target=z2,
+        phi_local={o: groups.trivial_hom(C.group_of[o], z2) for o in two_simplex.objects},
+        phi_edge={m.id: 0 for m in two_simplex.morphisms},
+    )
+    D = build_development(C, phi)
+    assert check_action(D).ok
+    (u, v), uv = next(iter(D.scwol.comp.items()))
+    other = next(m.id for m in D.scwol.morphisms if m.id != uv)
+    broken = _rebuilt(D, comp={**D.scwol.comp, (u, v): other})
+    assert _first(broken, "NotFunctorial") == (1, u, v)
+
+
+def test_check_action_not_bijective(seg23, seg23_to_z6):
+    D = build_development(seg23, seg23_to_z6)
+    objects = D.scwol.objects
+    for altered in (objects[:-1], objects + objects[:1]):
+        rep = check_action(_rebuilt(D, objects=altered))
+        assert [(f.code, f.witness) for f in rep.failures][:2] == [
+            ("NotBijective", (0,)),
+            ("NotBijective", (1,)),
+        ]
+
+
+def test_check_action_inversion(seg23, seg23_to_z6):
+    """a0@0 now runs m@0 -> m@1, and 1 sends m@0 to m@1."""
+    D = build_development(seg23, seg23_to_z6)
+    m0, *rest = D.scwol.morphisms
+    inverted = _rebuilt(D, morphisms=[Morphism(m0.id, m0.i, "m@1"), *rest])
+    assert _first(inverted, "ActionInversion") == (1, "a0@0")
+
+
+def test_check_action_stabilizer_condition(seg23, seg23_to_z6):
+    """a0@0 keeps its source m@0 but is filed at rep 1: the identity fixes
+    m@0 and sends a0@0 to a0@1."""
+    D = build_development(seg23, seg23_to_z6)
+    off = dataclasses.replace(D, mor_info={**D.mor_info, "a0@0": (1, "a0")})
+    assert _first(off, "StabilizerCondition") == (0, "a0@0")
+
+
+def test_check_action_orbit_mismatch(seg23, seg23_to_z6):
+    D = build_development(seg23, seg23_to_z6)
+    proj = D.projection
+    # v0@1 projected onto v1: the orbit of v0@0 lies over two base objects
+    wrong = dataclasses.replace(
+        D,
+        projection=dataclasses.replace(proj, on_objects={**proj.on_objects, "v0@1": "v1"}),
+    )
+    rep = check_action(wrong)
+    assert [(f.code, f.witness) for f in rep.failures] == [("OrbitMismatch", ("v0@0", "v0@1"))]
+    # a base object with no lift: three orbits over four base objects
+    S = D.base
+    bigger = Scwol((*S.objects, "w"), S.morphisms, S.comp, label=S.label)
+    assert _first(dataclasses.replace(D, base=bigger), "OrbitMismatch") == (3, 4)
+
+
+def test_check_action_not_an_action(seg23, seg23_to_z6):
+    """Data alone cannot break the group law now that the action is computed;
+    an ``act`` that sends 1 to the identity map does, at (1, 1, m@0):
+    1.(1.m@0) = m@0 but 2.m@0 = m@2."""
+
+    class OneActsTrivially(Development):
+        def act(self, g):
+            return super().act(self.group.identity if g == 1 else g)
+
+    D = build_development(seg23, seg23_to_z6)
+    bad = OneActsTrivially(**{f.name: getattr(D, f.name) for f in dataclasses.fields(D)})
+    assert _first(bad, "NotAnAction") == (1, 1, "m@0")
 
 
 # -- induced morphisms of local developments ---------------------------------

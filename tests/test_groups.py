@@ -379,6 +379,25 @@ def test_cosets_are_kept_per_group_and_subgroup():
     assert twin == S4 and hash(twin) == hash(S4)
 
 
+def test_group_with_kept_cosets_is_freed_without_the_cycle_collector():
+    """The memo makes no reference cycle: a group that keeps a coset space
+    dies when its last reference goes, with the cycle collector off."""
+    import gc
+    import weakref
+
+    S3 = groups.symmetric_group(3)
+    groups.cosets(S3, [S3.identity])
+    alive = weakref.ref(S3)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del S3
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # -- homs ----------------------------------------------------------------
 
 def test_compose_with_identity():
