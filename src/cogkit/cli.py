@@ -6,6 +6,10 @@ handler reads; a command accepts no other option.  Every command takes
 first looks a document up by id.  Input files (``validate``, ``iso``,
 ``--pres``, ``--tree file:``) go through the same readers in ``io``.
 
+``build_parser`` builds the argument parser once per process, on first use;
+every later in-process ``main`` call shares it, and parsing leaves no state
+on it.
+
 Exit codes:
 
 - 0: success or positive verdict;
@@ -23,6 +27,7 @@ and all iteration orders are fixed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -226,6 +231,8 @@ def cmd_realize(args, ws) -> int:
 
 
 def cmd_gen_corpus(args, ws) -> int:
+    if args.count < 0:
+        raise ParseError(f"--count must be at least 0, got {args.count}")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -282,7 +289,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="cogkit",
         description="Complexes of groups over scwols: validators, local complexes, "

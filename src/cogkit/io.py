@@ -314,9 +314,14 @@ class Workspace:
     def load(cls, root: Union[str, Path]) -> "Workspace":
         """Every ``*.json`` document of ``root``, named by ``id`` (else file stem), read now.
 
-        Raises ``ParseError`` naming both files when two documents share a name.
+        Raises ``UnresolvedReference`` naming ``root`` when it is not a
+        directory, and ``ParseError`` naming both files when two documents
+        share a name.
         """
         root = Path(root)
+        if not root.is_dir():
+            state = "is not a directory" if root.exists() else "does not exist"
+            raise UnresolvedReference(f"workspace directory {root} {state}")
         documents = {}
         paths: dict[str, Path] = {}
         for path in sorted(root.glob("*.json")):

@@ -97,7 +97,7 @@ def _run(argv: list[str]) -> int:
         return main(argv)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_documents_exit_with_a_code(documents, workspace, data):
     name = data.draw(st.sampled_from(sorted(documents)))

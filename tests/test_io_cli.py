@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from cogkit import groups, io as cio
+from cogkit import cli, groups, io as cio
 from cogkit.cli import main
 from cogkit.corpus import collapse_morphism
 from cogkit.errors import ParseError, UnresolvedReference
@@ -268,6 +269,42 @@ def test_cli_gen_corpus_unwritable_out_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
+def test_cli_negative_count_exits_2_before_making_the_directory(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert run_cli("gen-corpus", "--count", -3, "--out", out) == 2
+    assert capsys.readouterr().err == "error: --count must be at least 0, got -3\n"
+    assert not out.exists()
+    assert run_cli("gen-corpus", "--count", 0, "--out", out) == 0
+    assert capsys.readouterr().out == f"wrote 0 documents to {out}\n"
+
+
+def test_cli_dir_that_does_not_exist_exits_2_naming_it(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert run_cli("abel", "--cog", "seg23", "--dir", missing) == 2
+    assert capsys.readouterr().err == f"error: workspace directory {missing} does not exist\n"
+    with pytest.raises(UnresolvedReference, match="does not exist"):
+        cio.Workspace.load(missing)
+
+
+def test_cli_dir_that_is_a_file_exits_2_naming_it(tmp_path, capsys):
+    afile = tmp_path / "seg23.json"
+    shutil.copy(FIXTURES / "seg23.json", afile)
+    assert run_cli("abel", "--cog", "seg23", "--dir", afile) == 2
+    assert capsys.readouterr().err == f"error: workspace directory {afile} is not a directory\n"
+    with pytest.raises(UnresolvedReference, match="is not a directory"):
+        cio.Workspace.load(afile)
+
+
+def test_cli_commands_that_look_nothing_up_run_with_any_dir(tmp_path, capsys):
+    pres = tmp_path / "p.json"
+    assert run_cli("pi1", "--dir", FIXTURES, "--cog", "seg23", "--emit", pres) == 0
+    seg = FIXTURES / "seg.json"
+    for workspace in (tmp_path / "missing", pres):
+        assert run_cli("export-pres", "--pres", pres, "--dir", workspace) == 0
+        assert run_cli("iso", seg, seg, "--dir", workspace) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_budget_below_one_exits_2(capsys):
     pair = (FIXTURES / "seg.json", FIXTURES / "circle.json")
     for budget in (0, -1):
@@ -377,3 +414,77 @@ def test_cli_commands_that_look_nothing_up_ignore_foreign_json(tmp_path, capsys)
     assert run_cli("iso", seg, seg, "--dir", tmp_path) == 0
     # a command that does look a document up still reads the directory
     assert run_cli("abel", "--cog", "seg23", "--dir", tmp_path) == 2
+
+
+# -- the parser, built once and shared by in-process calls ------------------------
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    assert run_cli("abel", "--dir", FIXTURES, "--cog", "seg23") == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    seg = FIXTURES / "seg.json"
+    assert run_cli("abel", "--dir", FIXTURES, "--cog", "seg23") == 0
+    assert run_cli("realize", "--dir", FIXTURES, "--scwol", "delta2", "--format", "off") == 0
+    assert run_cli("iso", seg, seg, "--dir", FIXTURES, "--emit", tmp_path / "iso.json") == 0
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+def run_alone(argv: list[str], capsys) -> tuple[int, str]:
+    """The exit code and stdout of one in-process call."""
+    code = exit_code(*argv)
+    return code, capsys.readouterr().out
+
+
+def test_cli_options_return_to_their_defaults(tmp_path, monkeypatch, capsys):
+    """An option set in one call is back at its default in the next."""
+    monkeypatch.chdir(FIXTURES)  # the default --dir
+    seg = str(FIXTURES / "seg.json")
+    (tmp_path / "tree.json").write_text('["a0"]')  # not spanning: pi1 exits 2
+    # (a call that sets the option, a call that leaves it at its default)
+    pairs = [
+        (["abel", "--cog", "seg23", "--emit", f"{tmp_path}/abel.json"], ["abel", "--cog", "seg23"]),
+        (["iso", seg, seg, "--budget", "1"], ["iso", seg, seg]),
+        (["pi1", "--cog", "seg23", "--format", "cas"], ["pi1", "--cog", "seg23"]),
+        (["pi1", "--cog", "seg23", "--tree", f"file:{tmp_path}/tree.json"], ["pi1", "--cog", "seg23"]),
+        (["abel", "--cog", "seg23", "--dir", str(tmp_path)], ["abel", "--cog", "seg23"]),
+    ]
+    fresh = cli.build_parser.__wrapped__()
+    for setter, probe in pairs:
+        alone = run_alone(probe, capsys)
+        run_alone(setter, capsys)
+        assert run_alone(probe, capsys) == alone, (setter, probe)
+        assert cli.build_parser().parse_args(probe) == fresh.parse_args(probe)
+    assert run_alone(["abel", "--cog", "seg23"], capsys) == (0, "[6]\n")
+
+
+def test_cli_usage_error_leaves_the_parser_as_it_was(capsys):
+    probe = ["abel", "--dir", str(FIXTURES), "--cog", "seg23"]
+    alone = run_alone(probe, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["abel", "--dir", str(FIXTURES), "--cog", "seg23", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert run_alone(probe, capsys) == alone == (0, "[6]\n")
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_cli_shared_parser_help_equals_a_fresh_parsers(capsys):
+    exit_code("abel", "--dir", FIXTURES, "--cog", "seg23", "--budget", 5)
+    exit_code("iso", FIXTURES / "seg.json", "--dir", FIXTURES)
+    exit_code("realize", "--dir", FIXTURES, "--scwol", "delta2", "--format", "off")
+    shared, fresh = cli.build_parser(), cli.build_parser.__wrapped__()
+    assert shared.format_help() == fresh.format_help()
+    subparsers = _subparsers(shared)
+    assert sorted(subparsers) == sorted(cli.COMMANDS)
+    for name, parser in _subparsers(fresh).items():
+        assert subparsers[name].format_help() == parser.format_help(), name
