@@ -63,8 +63,10 @@ _AMBIENT_WEIGHTS = (1, 4, 3, 3, 1, 3, 2, 1, 4, 3, 1, 1, 1, 3)
 
 @lru_cache(maxsize=None)
 def all_subgroups(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Every subgroup generated by at most two elements (all of them, for the
-    catalog's orders)."""
+    """Every subgroup generated by at most two elements, sorted by order.
+
+    That is every subgroup of each catalog group and of S5 (156), but not of
+    S6, which has subgroups that need three generators."""
     subs = {(G.identity,)}
     for x in G.elements():
         subs.add(groups.subgroup_closure(G, [x]))

@@ -145,6 +145,8 @@ def from_permutation_generators(
     Element order is breadth-first discovery order with the identity first,
     which keeps element indices stable across runs.
     """
+    if degree < 0:
+        raise NotPermutation(f"degree {degree} is negative")
     checked: list[tuple[int, ...]] = []
     for g in gens:
         p = tuple(int(v) for v in g)
@@ -283,30 +285,50 @@ def hom_image(f: GroupHom) -> tuple[int, ...]:
 
 
 def is_subgroup(G: FiniteGroup, elements: Iterable[int]) -> bool:
-    elems = set(elements)
-    if G.identity not in elems:
-        return False
-    return all(G.mult[x][y] in elems and G.inv[x] in elems for x in elems for y in elems)
+    return _subgroup_violation(G, tuple(sorted(set(elements)))) is None
+
+
+def _subgroup_violation(G: FiniteGroup, sub: tuple[int, ...]) -> Optional[str]:
+    """The first way a sorted subset fails to be a subgroup, or None: the
+    identity, then for each element in turn its inverse and its products."""
+    if G.identity not in sub:
+        return "identity missing from subgroup"
+    subset = set(sub)
+    for x in sub:
+        if G.inv[x] not in subset:
+            return f"inverse of {x} leaves the subgroup"
+        row = G.mult[x]
+        for y in sub:
+            if row[y] not in subset:
+                return f"pair ({x}, {y}) leaves the subgroup"
+    return None
+
+
+def _require_subgroup(G: FiniteGroup, sub: tuple[int, ...]) -> None:
+    problem = _subgroup_violation(G, sub)
+    if problem is not None:
+        raise NotASubgroup(problem)
+
+
+def _close_right(mult: Sequence[Sequence[int]], closure: set, frontier: list, gens: Sequence[int]) -> None:
+    """Add to ``closure`` what ``frontier`` reaches by right multiplication by ``gens``."""
+    for z in frontier:
+        row = mult[z]
+        for s in gens:
+            y = row[s]
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
 
 
 def subgroup_closure(G: FiniteGroup, elements: Iterable[int]) -> tuple[int, ...]:
-    """Smallest subgroup of G containing the given elements."""
-    elems = {G.identity} | set(elements)
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(elems):
-                for z in (G.mult[x][y], G.mult[y][x]):
-                    if z not in elems:
-                        elems.add(z)
-                        nxt.append(z)
-            xi = G.inv[x]
-            if xi not in elems:
-                elems.add(xi)
-                nxt.append(xi)
-        frontier = nxt
-    return tuple(sorted(elems))
+    """Smallest subgroup of G containing the given elements: the breadth-first
+    closure of the identity under right multiplication by them, which is closed
+    under inverses because G is finite (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, section 4.1)."""
+    closure = {G.identity}
+    _close_right(G.mult, closure, [G.identity], sorted(set(elements)))
+    return tuple(sorted(closure))
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
@@ -326,26 +348,12 @@ def _greedy_generators(mult: Sequence[Sequence[int]], identity: int) -> list[int
     the identity generate the table as a magma.  The table need not be
     associative: ``from_cayley_table`` runs this before it knows.
     """
-    order = len(mult)
     gens: list[int] = []
     closure = {identity}
-    for x in range(order):
-        if x in closure:
-            continue
-        gens.append(x)
-        # <closure, x> is closure, closure*x, and what the new elements
-        # reach by right multiplication by every generator
-        new = [mult[h][x] for h in closure]
-        closure.update(new)
-        while new:
-            z = new.pop()
-            for s in gens:
-                y = mult[z][s]
-                if y not in closure:
-                    closure.add(y)
-                    new.append(y)
-        if len(closure) == order:
-            break
+    for x in range(len(mult)):
+        if x not in closure:
+            gens.append(x)
+            _close_right(mult, closure, list(closure), gens)
     return gens
 
 
@@ -356,12 +364,7 @@ def subgroup_group(G: FiniteGroup, elements: Iterable[int], label: Optional[str]
     subgroup always yields the same tables.
     """
     elems = tuple(sorted(set(elements)))
-    for x in elems:
-        for y in elems:
-            if G.mult[x][y] not in elems:
-                raise NotASubgroup(f"pair ({x}, {y}) leaves the subgroup")
-    if G.identity not in elems:
-        raise NotASubgroup("identity missing from subgroup")
+    _require_subgroup(G, elems)
     pos = {v: k for k, v in enumerate(elems)}
     mult = tuple(tuple(pos[G.mult[x][y]] for y in elems) for x in elems)
     inv = tuple(pos[G.inv[x]] for x in elems)
@@ -409,15 +412,7 @@ def cosets(G: FiniteGroup, subgroup_elements: Iterable[int]) -> CosetSpace:
     space = G._cosets.get(sub)
     if space is not None:
         return space
-    if G.identity not in sub:
-        raise NotASubgroup("identity missing from subgroup")
-    subset = set(sub)
-    for x in sub:
-        if G.inv[x] not in subset:
-            raise NotASubgroup(f"inverse of {x} leaves the subgroup")
-        for y in sub:
-            if G.mult[x][y] not in subset:
-                raise NotASubgroup(f"pair ({x}, {y}) leaves the subgroup")
+    _require_subgroup(G, sub)
     index_of = [-1] * G.order
     reps = []
     for g in range(G.order):  # ascending scan makes the least element the rep
@@ -450,23 +445,11 @@ def abelian_invariants(G: FiniteGroup) -> list[int]:
     this route independent of the Smith-normal-form code used on
     presentations.
     """
-    derived = set(commutator_subgroup(G))
-    # quotient group on coset reps
-    reps = []
-    seen = set()
-    rep_of = {}
-    for g in G.elements():
-        if g in seen:
-            continue
-        coset = {G.mult[g][h] for h in derived}
-        for x in coset:
-            rep_of[x] = g
-        seen |= coset
-        reps.append(g)
-    n = len(reps)
-    pos = {g: k for k, g in enumerate(reps)}
-    qmult = [[pos[rep_of[G.mult[reps[x]][reps[y]]]] for y in range(n)] for x in range(n)]
-    Q = from_cayley_table(qmult, pos[rep_of[G.identity]], label=f"{G.label}^ab")
+    # the quotient group on the cosets of the derived subgroup
+    space = cosets(G, commutator_subgroup(G))
+    n = len(space)
+    qmult = [[space.index_of[G.mult[r][s]] for s in space.reps] for r in space.reps]
+    Q = from_cayley_table(qmult, space.index_of[G.identity], label=f"{G.label}^ab")
     # per-prime partitions from counts of p^j-torsion elements
     primes = sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)})
     per_prime: dict[int, list[int]] = {}

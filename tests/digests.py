@@ -46,10 +46,6 @@ def digest(data) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def group_set() -> list[groups.FiniteGroup]:
-    return corpus.catalog() + [groups.symmetric_group(5)]
-
-
 def mutated_table(G: groups.FiniteGroup, rng: random.Random) -> list[list[int]]:
     """G's table with one entry off the identity's row and column set to a
     random element, or two such entries swapped."""
@@ -77,7 +73,7 @@ def group_families(seed: int) -> dict[str, dict]:
         "all_subgroups", "generating_set", "subgroup_closure", "cosets",
         "abelian_invariants", "from_cayley_table",
     )}
-    for G in group_set():
+    for G in corpus.catalog() + [groups.symmetric_group(5)]:
         subs = corpus.all_subgroups(G)
         families["all_subgroups"][G.label] = subs
         families["generating_set"][G.label] = groups.generating_set(G)

@@ -40,6 +40,17 @@ def test_all_subgroups_s4_lagrange():
         assert groups.is_subgroup(S4, s)
 
 
+def test_all_subgroups_s5_counts_by_order():
+    subs = all_subgroups(groups.symmetric_group(5))
+    by_order: dict[int, int] = {}
+    for s in subs:
+        by_order[len(s)] = by_order.get(len(s), 0) + 1
+    assert len(subs) == 156
+    assert by_order == {
+        1: 1, 2: 25, 3: 10, 4: 35, 5: 6, 6: 30, 8: 15, 10: 6, 12: 15, 20: 6, 24: 5, 60: 1, 120: 1,
+    }
+
+
 def test_corpus_valid_and_deterministic():
     corpus1 = build_corpus(seed=101, count=12)
     corpus2 = build_corpus(seed=101, count=12)

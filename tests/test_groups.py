@@ -261,6 +261,9 @@ def test_perm_gens_errors():
         groups.from_permutation_generators(3, [(0, 0, 1)])
     with pytest.raises(ClosureTooLarge):
         groups.from_permutation_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], cap=20)
+    for gens in ([], [[]]):
+        with pytest.raises(NotPermutation, match=r"^degree -3 is negative$"):
+            groups.from_permutation_generators(-3, gens)
 
 
 def test_standard_groups():
@@ -471,6 +474,55 @@ def test_subgroup_closure_is_subgroup():
         sub = groups.subgroup_closure(S4, seed)
         assert groups.is_subgroup(S4, sub)
         assert S4.order % len(sub) == 0  # Lagrange
+
+
+@pytest.mark.parametrize(
+    "G",
+    [groups.symmetric_group(4), groups.symmetric_group(5), groups.quaternion_group(), groups.dihedral_group(6)],
+    ids=lambda G: G.label,
+)
+def test_subgroup_closure_against_sympy(G):
+    """A subgroup that contains the seeds and has the order of the group the
+    seeds' left-regular permutations (rows of the table) generate in sympy is
+    the closure of the seeds."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    rng = random.Random(G.order)
+    for _ in range(40):
+        seeds = [rng.randrange(G.order) for _ in range(rng.randint(0, 4))]
+        sub = groups.subgroup_closure(G, seeds)
+        assert groups.is_subgroup(G, sub)
+        assert set(seeds) <= set(sub)
+        regular = [Permutation(list(G.mult[s])) for s in seeds] or [Permutation(list(range(G.order)))]
+        assert len(sub) == PermutationGroup(regular).order()
+
+
+def _violations():
+    """(group, subset, the first violation's message) for each kind of violation."""
+    S3 = groups.symmetric_group(3)
+    t1, t2 = sorted(x for x in S3.elements() if S3.element_order(x) == 2)[:2]
+    cyc = next(x for x in S3.elements() if S3.element_order(x) == 3)
+    C4 = groups.cyclic_group(4)
+    r = next(x for x in C4.elements() if C4.element_order(x) == 4)
+    r3 = C4.inv[r]
+    return {
+        "identity": (S3, [t1], "identity missing from subgroup"),
+        "inverse": (S3, [S3.identity, cyc], f"inverse of {cyc} leaves the subgroup"),
+        "pair": (S3, [S3.identity, t1, t2], f"pair ({t1}, {t2}) leaves the subgroup"),
+        "square": (C4, [C4.identity, r, r3], f"pair ({min(r, r3)}, {min(r, r3)}) leaves the subgroup"),
+    }
+
+
+@pytest.mark.parametrize("case", ["identity", "inverse", "pair", "square"])
+def test_each_subgroup_violation_is_named_alike_everywhere(case):
+    """cosets and subgroup_group name the same first violation, in the order
+    identity, then inverse, then pair; is_subgroup says no."""
+    G, subset, message = _violations()[case]
+    for build in (groups.cosets, groups.subgroup_group):
+        with pytest.raises(NotASubgroup) as exc:
+            build(G, subset)
+        assert str(exc.value) == message
+    assert not groups.is_subgroup(G, subset)
 
 
 def test_generating_set_generates_and_is_greedy():

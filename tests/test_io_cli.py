@@ -356,6 +356,18 @@ def test_cli_non_associative_group_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: associativity fails at triple (1, 1, 2)\n"
 
 
+def test_cli_negative_degree_is_rejected(tmp_path, capsys):
+    def negative_degree(doc):
+        del doc["cayley"], doc["identity"]
+        doc.update(degree=-3, perm_gens=[])
+
+    ws = workspace_with(tmp_path, "z3", negative_degree)
+    assert run_cli("validate", ws / "z3.json", "--dir", ws) == 1
+    assert capsys.readouterr().out == f"INVALID {ws / 'z3.json'}: degree -3 is negative\n"
+    assert run_cli("abel", "--dir", ws, "--cog", "seg23") == 2
+    assert capsys.readouterr().err == "error: degree -3 is negative\n"
+
+
 def test_cli_format_outside_the_commands_choices_exits_2(capsys):
     assert exit_code("pi1", "--dir", FIXTURES, "--cog", "seg23", "--format", "off") == 2
     assert exit_code("realize", "--dir", FIXTURES, "--scwol", "delta2", "--format", "cas") == 2
