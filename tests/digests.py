@@ -17,11 +17,20 @@ The group families run over every catalog group and S5:
   catalog table of order > 1 (S5 is left out: a rejected table is named by an
   O(n^3) scan).
 ``NotASubgroup`` messages are not hashed.
+
+The development families run over ``build_corpus(seed, 200)``: every
+``to_ambient`` development and the Theta development at every center.
+- ``check_action``: the (code, witness) list of each development;
+- ``check_action_mutations``: the same on one seeded mutation of each
+  development, the kinds taken in turn (``MUTATIONS``); kinds that do not
+  apply to a development are skipped;
+- ``development_to_json``: the SHA-256 of each development's emitted bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -34,11 +43,17 @@ DEFAULT_SEED = 20260811
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from cogkit import corpus, groups  # noqa: E402
+from cogkit import corpus, develop, groups, io, local  # noqa: E402
 from cogkit.errors import CogkitError  # noqa: E402
+from cogkit.scwols import Morphism, Scwol  # noqa: E402
 
 CLOSURE_SEEDS = 200
 TABLE_MUTATIONS = 25
+CORPUS_SIZE = 200
+MUTATIONS = (
+    "drop_object", "duplicate_object", "retarget_morphism", "redirect_composite",
+    "shift_mor_rep", "relabel_projection", "unlifted_base_object", "non_coset_space",
+)
 
 
 def digest(data) -> str:
@@ -95,8 +110,133 @@ def group_families(seed: int) -> dict[str, dict]:
     return families
 
 
+def corpus_developments(seed: int) -> list[develop.Development]:
+    """Each corpus complex's ``to_ambient`` development, then its Theta
+    development at every center in sorted order."""
+    out = []
+    for entry in corpus.build_corpus(seed, CORPUS_SIZE):
+        out.append(develop.build_development(entry.complex, entry.to_ambient))
+        for gamma in sorted(entry.complex.base.objects):
+            L = local.build_local_cog(entry.complex, gamma)
+            out.append(develop.build_development(L.cog, local.build_theta(L)))
+    return out
+
+
+def _with_scwol(D, objects=None, morphisms=None, comp=None):
+    S = D.scwol
+    return dataclasses.replace(D, scwol=Scwol(
+        S.objects if objects is None else objects,
+        S.morphisms if morphisms is None else morphisms,
+        S.comp if comp is None else comp,
+        label=S.label,
+    ))
+
+
+def mutated_development(D: develop.Development, kind: str, rng: random.Random):
+    """D broken in one way, or None when ``kind`` does not apply to D.
+
+    - ``drop_object``, ``duplicate_object``: one object left out or repeated;
+    - ``retarget_morphism``: one morphism ends at another object;
+    - ``redirect_composite``: one composite names another morphism;
+    - ``shift_mor_rep``: one ``mor_info`` entry filed under another coset rep;
+    - ``relabel_projection``: one object projected onto another base object;
+    - ``unlifted_base_object``: the base gains an object with no lift;
+    - ``non_coset_space``: two elements of different cosets swap classes in
+      one object's coset space, which is then no left-coset partition.
+    """
+    S, base = D.scwol, D.base
+    if kind == "drop_object":
+        k = rng.randrange(len(S.objects))
+        return _with_scwol(D, objects=S.objects[:k] + S.objects[k + 1:])
+    if kind == "duplicate_object":
+        return _with_scwol(D, objects=S.objects + (rng.choice(S.objects),))
+    if kind == "retarget_morphism":
+        if not S.morphisms or len(S.objects) < 3:
+            return None
+        k = rng.randrange(len(S.morphisms))
+        m = S.morphisms[k]
+        t = rng.choice([o for o in S.objects if o not in (m.i, m.t)])
+        return _with_scwol(D, morphisms=S.morphisms[:k] + (Morphism(m.id, m.i, t),) + S.morphisms[k + 1:])
+    if kind == "redirect_composite":
+        if not S.comp:
+            return None
+        pair = rng.choice(sorted(S.comp))
+        other = rng.choice([m.id for m in S.morphisms if m.id != S.comp[pair]])
+        return _with_scwol(D, comp={**S.comp, pair: other})
+    if kind == "shift_mor_rep":
+        movable = [
+            (mid, rep, a) for mid, (rep, a) in D.mor_info.items()
+            if len(D.coset_spaces[base.src(a)]) > 1
+        ]
+        if not movable:
+            return None
+        mid, rep, a = rng.choice(movable)
+        new_rep = rng.choice([r for r in D.coset_spaces[base.src(a)].reps if r != rep])
+        return dataclasses.replace(D, mor_info={**D.mor_info, mid: (new_rep, a)})
+    if kind == "relabel_projection":
+        if len(base.objects) < 2:
+            return None
+        oid = rng.choice(S.objects)
+        proj = D.projection
+        label = rng.choice([o for o in base.objects if o != proj.on_objects[oid]])
+        return dataclasses.replace(
+            D, projection=dataclasses.replace(proj, on_objects={**proj.on_objects, oid: label})
+        )
+    if kind == "unlifted_base_object":
+        bigger = Scwol((*base.objects, "unlifted"), base.morphisms, base.comp, label=base.label)
+        return dataclasses.replace(D, base=bigger)
+    if kind == "non_coset_space":
+        split = sorted(o for o, space in D.coset_spaces.items() if len(space) > 1)
+        if not split:
+            return None
+        o = rng.choice(split)
+        space = D.coset_spaces[o]
+        x = rng.randrange(D.group.order)
+        y = rng.choice([z for z in D.group.elements() if space.index_of[z] != space.index_of[x]])
+        index_of = list(space.index_of)
+        index_of[x], index_of[y] = index_of[y], index_of[x]
+        broken = groups.CosetSpace(space.subgroup, space.reps, tuple(index_of))
+        return dataclasses.replace(D, coset_spaces={**D.coset_spaces, o: broken})
+    raise ValueError(f"unknown mutation {kind!r}")
+
+
+def development_cases(seed: int) -> tuple[list, list]:
+    """The corpus developments, and (kind, mutated development) pairs: one
+    mutation of each development, the kinds taken in turn."""
+    rng = random.Random(seed)
+    devs = corpus_developments(seed)
+    mutations = []
+    for k, D in enumerate(devs):
+        kind = MUTATIONS[k % len(MUTATIONS)]
+        broken = mutated_development(D, kind, rng)
+        if broken is not None:
+            mutations.append((kind, broken))
+    return devs, mutations
+
+
+def failure_list(report) -> list:
+    return [[f.code, list(f.witness)] for f in report.failures]
+
+
+def development_families(cases: tuple[list, list]) -> dict[str, list]:
+    devs, mutations = cases
+    return {
+        "check_action": [failure_list(develop.check_action(D)) for D in devs],
+        "check_action_mutations": [
+            [kind, failure_list(develop.check_action(D))] for kind, D in mutations
+        ],
+        "development_to_json": [
+            hashlib.sha256(io.dumps(io.development_to_json(D)).encode()).hexdigest() for D in devs
+        ],
+    }
+
+
+def hashed(families: dict) -> dict[str, str]:
+    return {name: digest(data) for name, data in families.items()}
+
+
 def digests(seed: int = DEFAULT_SEED) -> dict[str, str]:
-    return {name: digest(data) for name, data in group_families(seed).items()}
+    return hashed({**group_families(seed), **development_families(development_cases(seed))})
 
 
 def golden(seed: int = DEFAULT_SEED) -> dict[str, str]:

@@ -2,8 +2,38 @@
 
 from __future__ import annotations
 
+import pytest
+
 import digests
+from cogkit import develop
+
+CODES = {
+    "NotBijective", "NotFunctorial", "NotAnAction", "ActionInversion", "StabilizerCondition", "OrbitMismatch",
+}
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return digests.development_cases(digests.DEFAULT_SEED)
+
+
+def _pinned(got: dict) -> dict:
+    golden = digests.golden()
+    return {name: golden.get(name) for name in got}
 
 
 def test_group_digests_match_the_golden_file():
-    assert digests.digests() == digests.golden()
+    got = digests.hashed(digests.group_families(digests.DEFAULT_SEED))
+    assert got == _pinned(got)
+
+
+def test_development_digests_match_the_golden_file(cases):
+    got = digests.hashed(digests.development_families(cases))
+    assert got == _pinned(got)
+
+
+def test_mutations_cover_every_kind_and_check_action_code(cases):
+    _, mutations = cases
+    assert {kind for kind, _ in mutations} == set(digests.MUTATIONS)
+    codes = {f.code for _, D in mutations for f in develop.check_action(D).failures}
+    assert codes == CODES
