@@ -12,7 +12,7 @@ from typing import Optional
 
 from . import groups
 from .complexes import CogMorphism, ComplexOfGroups, MorphismToGroup
-from .errors import CompositionUnderdetermined, UnknownObject
+from .errors import CompositionUnderdetermined, IndexOutOfRange, NotASubgroup, UnknownObject
 from .groups import CosetSpace, FiniteGroup
 from .scwols import (
     UPPER_SOURCED,
@@ -76,8 +76,9 @@ class Development:
     """D(Y, phi): coset-indexed scwol with its projection; G acts on the left.
 
     A cell x@r is one coset r im(phi_x) (r im(phi_i(a)) for a morphism a);
-    ``obj_info`` and ``mor_info`` give each cell's (coset rep, base cell), and
-    ``act`` computes the action from them.
+    ``obj_info`` and ``mor_info`` give each cell's (coset rep, base cell);
+    ``cell_action`` computes the action from them, and ``act`` formats it as
+    ids.
     """
 
     scwol: Scwol
@@ -89,13 +90,25 @@ class Development:
     mor_info: dict[str, tuple[int, str]]  # morphism id -> (coset rep, base morphism)
     coset_spaces: dict[str, CosetSpace]  # per base object
 
-    def act(self, g: int) -> tuple[dict[str, str], dict[str, str]]:
-        """g's maps on object and morphism ids: g.(x@r) = x@rep_of(g r), in the
-        cosets of x's image (of i(a)'s, for a morphism a@r)."""
+    def cell_action(self, g: int) -> tuple[list[int], list[int]]:
+        """g's action on cells: g.(x@r) = x@rep_of(g r), in the cosets of x's
+        image (of i(a)'s, for a morphism a@r).  Returns the coset index of each
+        image, for the objects in ``obj_info`` order and the morphisms in
+        ``mor_info`` order."""
         row = self.group.mult[g]
         spaces, src = self.coset_spaces, self.base.src
-        omap = {oid: f"{o}@{spaces[o].rep_of(row[rep])}" for oid, (rep, o) in self.obj_info.items()}
-        mmap = {mid: f"{a}@{spaces[src(a)].rep_of(row[rep])}" for mid, (rep, a) in self.mor_info.items()}
+        objs = [spaces[o].index_of[row[rep]] for rep, o in self.obj_info.values()]
+        mors = [spaces[src(a)].index_of[row[rep]] for rep, a in self.mor_info.values()]
+        return objs, mors
+
+    def act(self, g: int) -> tuple[dict[str, str], dict[str, str]]:
+        """g's maps on object and morphism ids, formatted from ``cell_action``."""
+        objs, mors = self.cell_action(g)
+        spaces, src = self.coset_spaces, self.base.src
+        omap = {oid: f"{o}@{spaces[o].reps[k]}" for (oid, (_, o)), k in zip(self.obj_info.items(), objs)}
+        mmap = {
+            mid: f"{a}@{spaces[src(a)].reps[k]}" for (mid, (_, a)), k in zip(self.mor_info.items(), mors)
+        }
         return omap, mmap
 
 
@@ -166,8 +179,136 @@ def check_action(D: Development) -> ValidationReport:
     """Check ``D.act``: each g a functorial permutation (NotBijective,
     NotFunctorial), a group action (NotAnAction), no inversions
     (ActionInversion), g fixing i(m) fixes m (StabilizerCondition), and
-    orbits biject with base cells (OrbitMismatch).  Each g's maps are built
-    once per call."""
+    orbits biject with base cells (OrbitMismatch).
+
+    A fast path on integer cells only accepts; when it rejects, the scan
+    ``_scan_action`` gives the verdict and names the first failure with its
+    witness.  The fast path checks, in O(|S| |D|) steps for a generating set
+    S = ``groups.generating_set(G)`` where the scan takes O(|G| |D|):
+
+    1. every coset space equals the memoised ``groups.cosets(G, subgroup)``,
+       so it is G's left-coset space of a subgroup H;
+    2. the scwol's objects biject with ``obj_info`` and its morphisms with
+       ``mor_info``: each cell's rep r is the least element of its coset, its
+       id is ``x@r`` for its base cell x, every coset of every base cell
+       named there has a cell, and the base cells named number as many as
+       the base's objects and morphisms (those of morphisms are base
+       morphisms, whose source names their coset space);
+    3. the projection is constant on the cells over each base object;
+    4. the endpoints of every morphism m = a@r lie over different base
+       objects, and the coset space of i(m)'s base object has as many cosets
+       as that of i(a);
+    5. every s in S preserves i, t and every composite.
+
+    Proof that these imply that the scan finds nothing.  Write pi_g for
+    ``cell_action(g)``: pi_g(x, k) = (x, index_of[g reps[k]]).  By 1,
+    index_of[u] = index_of[v] iff uH = vH and reps[k] lies in coset k, so
+    pi_g sends the coset rH to grH: pi_e = 1 and pi_g pi_h = pi_gh, so every
+    pi_g is a bijection of the cells over x.  By 2, ``act(g)`` is pi_g read
+    through the bijection of ids with cells, so every g permutes the objects
+    (no NotBijective) and the action law holds (no NotAnAction).  The g whose
+    pi_g preserves i, t and composites are closed under products and contain
+    e and, by 5, S; every element of a finite group is a product of
+    generators, so they are all of G (no NotFunctorial).  pi_g keeps each
+    cell over its base cell, so g i(m) = t(m) would put both endpoints over
+    one base object, which 4 excludes (no ActionInversion).  If g fixes m, it
+    fixes i(m) = i(gm), so Stab(m) is inside Stab(i(m)); the stabilizer of
+    rH is rHr^-1, of order |G| / [G : H], so by 4 the two have one order and
+    are equal (no StabilizerCondition).  G is transitive on each coset space,
+    so the orbits are the cells over each base cell: by 2 as many as the
+    base has objects and morphisms, and by 3 each object orbit projects
+    onto one base object (no OrbitMismatch).
+    """
+    if _action_certified(D):
+        return ValidationReport(True)
+    return _scan_action(D)
+
+
+def _action_certified(D: Development) -> bool:
+    """Conditions 1-5 of ``check_action``."""
+    G, S, base, spaces = D.group, D.scwol, D.base, D.coset_spaces
+    for space in spaces.values():
+        try:
+            if groups.cosets(G, space.subgroup) != space:
+                return False
+        except (IndexOutOfRange, NotASubgroup):
+            return False
+
+    def mor_space(a: str) -> Optional[CosetSpace]:
+        return spaces.get(base.src(a)) if a in base.mor_by_id else None
+
+    obj_slots = _cell_slots(D.obj_info, S.objects, spaces.get, G.order)
+    mor_slots = _cell_slots(D.mor_info, [m.id for m in S.morphisms], mor_space, G.order)
+    if obj_slots is None or mor_slots is None:
+        return False
+    if len(obj_slots) != len(base.objects) or len(mor_slots) != len(base.morphisms):
+        return False
+    proj = D.projection.on_objects
+    if not proj.keys() >= D.obj_info.keys():
+        return False
+    if len({(o, proj[oid]) for oid, (_, o) in D.obj_info.items()}) != len(obj_slots):
+        return False
+
+    obj_pos = dict(zip(D.obj_info, range(len(D.obj_info))))
+    mor_pos = dict(zip(D.mor_info, range(len(D.mor_info))))
+    obj_base = [o for _, o in D.obj_info.values()]
+    mor_base = [a for _, a in D.mor_info.values()]
+    mors = [S.mor_by_id[mid] for mid in D.mor_info]
+    try:
+        src_pos = [obj_pos[m.i] for m in mors]
+        tgt_pos = [obj_pos[m.t] for m in mors]
+        triples = [(mor_pos[u], mor_pos[v], mor_pos[uv]) for (u, v), uv in S.comp.items()]
+    except KeyError:
+        return False
+    over = set(zip([obj_base[i] for i in src_pos], [obj_base[t] for t in tgt_pos], mor_base))
+    for i_base, t_base, a in over:
+        if i_base == t_base or len(obj_slots[i_base]) != len(mor_slots[a]):
+            return False
+    n = len(mor_pos)
+    comp = {u * n + v: uv for u, v, uv in triples}
+
+    for s in groups.generating_set(G):
+        obj_k, mor_k = D.cell_action(s)
+        po = [obj_slots[o][k] for o, k in zip(obj_base, obj_k)]
+        pm = [mor_slots[a][k] for a, k in zip(mor_base, mor_k)]
+        if [src_pos[j] for j in pm] != [po[j] for j in src_pos]:
+            return False
+        if [tgt_pos[j] for j in pm] != [po[j] for j in tgt_pos]:
+            return False
+        if {pm[u] * n + pm[v]: pm[uv] for u, v, uv in triples} != comp:
+            return False
+    return True
+
+
+def _cell_slots(info, ids, space_of, order: int) -> Optional[dict[str, list[int]]]:
+    """Base cell -> the position in ``info`` of its lift at each coset index,
+    when ``info``'s keys are the distinct ``ids``, every rep r over x is the
+    least element of its coset in ``space_of(x)`` and the id is ``x@r``, and
+    every coset of every x has a lift; otherwise None."""
+    if len(ids) != len(info) or info.keys() != set(ids):
+        return None
+    if list(info) != [f"{x}@{rep}" for rep, x in info.values()]:
+        return None
+    slots: dict[str, list[int]] = {}
+    spaces: dict[str, CosetSpace] = {}
+    for j, (rep, x) in enumerate(info.values()):
+        space = spaces.get(x)
+        if space is None:
+            space = spaces[x] = space_of(x)
+            if space is None:
+                return None
+            slots[x] = [0] * len(space.reps)
+        if not 0 <= rep < order or space.reps[space.index_of[rep]] != rep:
+            return None
+        slots[x][space.index_of[rep]] = j
+    if sum(map(len, slots.values())) != len(info):
+        return None
+    return slots
+
+
+def _scan_action(D: Development) -> ValidationReport:
+    """The exhaustive check behind ``check_action``: every g's maps are built
+    once per call, and each failure names its first witness."""
     failures: list[Failure] = []
     G = D.group
     scwol = D.scwol

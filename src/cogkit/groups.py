@@ -285,7 +285,17 @@ def hom_image(f: GroupHom) -> tuple[int, ...]:
 
 
 def is_subgroup(G: FiniteGroup, elements: Iterable[int]) -> bool:
-    return _subgroup_violation(G, tuple(sorted(set(elements)))) is None
+    return _subgroup_violation(G, _sorted_elements(G, elements)) is None
+
+
+def _sorted_elements(G: FiniteGroup, elements: Iterable[int]) -> tuple[int, ...]:
+    """The distinct elements in ascending order; IndexOutOfRange for any
+    outside 0..order-1."""
+    elems = tuple(sorted(set(elements)))
+    if elems and (elems[0] < 0 or elems[-1] >= G.order):
+        bad = elems[0] if elems[0] < 0 else elems[-1]
+        raise IndexOutOfRange(f"element {bad} out of range in {G.label}")
+    return elems
 
 
 def _subgroup_violation(G: FiniteGroup, sub: tuple[int, ...]) -> Optional[str]:
@@ -327,7 +337,7 @@ def subgroup_closure(G: FiniteGroup, elements: Iterable[int]) -> tuple[int, ...]
     under inverses because G is finite (Holt, Eick and O'Brien, *Handbook of
     Computational Group Theory*, section 4.1)."""
     closure = {G.identity}
-    _close_right(G.mult, closure, [G.identity], sorted(set(elements)))
+    _close_right(G.mult, closure, [G.identity], _sorted_elements(G, elements))
     return tuple(sorted(closure))
 
 
@@ -363,7 +373,7 @@ def subgroup_group(G: FiniteGroup, elements: Iterable[int], label: Optional[str]
     Subgroup elements are indexed in ascending ambient order, so the same
     subgroup always yields the same tables.
     """
-    elems = tuple(sorted(set(elements)))
+    elems = _sorted_elements(G, elements)
     _require_subgroup(G, elems)
     pos = {v: k for k, v in enumerate(elems)}
     mult = tuple(tuple(pos[G.mult[x][y]] for y in elems) for x in elems)
@@ -407,8 +417,12 @@ def cosets(G: FiniteGroup, subgroup_elements: Iterable[int]) -> CosetSpace:
 
     The space is built once per (group, subgroup) and kept on G, which is
     immutable; a subset that is not a subgroup is rejected on every call.
+    A sorted tuple, as ``hom_image`` and ``CosetSpace.subgroup`` give, finds
+    its space without being sorted again.
     """
-    sub = tuple(sorted(set(subgroup_elements)))
+    if isinstance(subgroup_elements, tuple) and subgroup_elements in G._cosets:
+        return G._cosets[subgroup_elements]
+    sub = _sorted_elements(G, subgroup_elements)
     space = G._cosets.get(sub)
     if space is not None:
         return space

@@ -17,7 +17,8 @@ from cogkit.complexes import (
 )
 from cogkit.corpus import build_corpus
 from cogkit.develop import (
-    Development,
+    _action_certified,
+    _scan_action,
     build_development,
     build_local_dev_morphism,
     build_local_development,
@@ -309,18 +310,139 @@ def test_check_action_orbit_mismatch(seg23, seg23_to_z6):
     assert _first(dataclasses.replace(D, base=bigger), "OrbitMismatch") == (3, 4)
 
 
+def _with_space(D, o, swap):
+    """D with the coset space of o replaced by one whose ``index_of`` has the
+    two given entries swapped: the same reps, but no left-coset partition
+    once the entries lie in different cosets."""
+    space = D.coset_spaces[o]
+    index_of = list(space.index_of)
+    x, y = swap
+    index_of[x], index_of[y] = index_of[y], index_of[x]
+    broken = groups.CosetSpace(space.subgroup, space.reps, tuple(index_of))
+    return dataclasses.replace(D, coset_spaces={**D.coset_spaces, o: broken})
+
+
 def test_check_action_not_an_action(seg23, seg23_to_z6):
-    """Data alone cannot break the group law now that the action is computed;
-    an ``act`` that sends 1 to the identity map does, at (1, 1, m@0):
-    1.(1.m@0) = m@0 but 2.m@0 = m@2."""
-
-    class OneActsTrivially(Development):
-        def act(self, g):
-            return super().act(self.group.identity if g == 1 else g)
-
+    """m's space in Z/6 files 1 under coset 2 and 2 under coset 1, so the
+    identity sends m@2 to m@1 while 1 sends m@0 to m@2: 0.(1.m@0) = m@1 but
+    1.m@0 = m@2."""
     D = build_development(seg23, seg23_to_z6)
-    bad = OneActsTrivially(**{f.name: getattr(D, f.name) for f in dataclasses.fields(D)})
-    assert _first(bad, "NotAnAction") == (1, 1, "m@0")
+    bad = _with_space(D, "m", (1, 2))
+    assert _first(bad, "NotAnAction") == (0, 1, "m@0")
+
+
+# -- the fast path of check_action: each condition it checks is needed ------------
+
+def _point_development():
+    """One object p with Z/2 over it, sent onto {0, 3} in Z/6: three lifts
+    p@0, p@1, p@2 and no morphisms, so only the coset arithmetic is checked."""
+    base = Scwol(["p"], [], {}, label="PT")
+    z2, z6 = groups.cyclic_group(2), groups.cyclic_group(6)
+    C = ComplexOfGroups(base=base, group_of={"p": z2}, psi={}, twist={}, label="PT")
+    phi = MorphismToGroup(source=C, target=z6, phi_local={"p": groups.make_hom(z2, z6, [0, 3])}, phi_edge={})
+    return build_development(C, phi)
+
+
+def _renamed_object(D, old, new, rep):
+    """D with object ``old`` renamed ``new`` and filed under ``rep``."""
+    S, proj = D.scwol, D.projection
+    o = D.obj_info[old][1]
+    info = {(new if k == old else k): ((rep, o) if k == old else v) for k, v in D.obj_info.items()}
+    on_objects = {(new if k == old else k): v for k, v in proj.on_objects.items()}
+    return dataclasses.replace(
+        _rebuilt(D, objects=[new if x == old else x for x in S.objects]),
+        obj_info=info,
+        projection=dataclasses.replace(proj, on_objects=on_objects),
+    )
+
+
+def _lifts_rewired(D, a, ends):
+    """D with every lift a@r of a rebuilt as a@r: ends(r)."""
+    mors = [
+        Morphism(m.id, *ends(D.mor_info[m.id][0])) if D.mor_info[m.id][1] == a else m
+        for m in D.scwol.morphisms
+    ]
+    return _rebuilt(D, morphisms=mors)
+
+
+def _fast_path_cases(seg23, seg23_to_z6):
+    P = _point_development()
+    D = build_development(seg23, seg23_to_z6)
+    v0, v1 = D.coset_spaces["v0"], D.coset_spaces["v1"]
+    S = D.base
+    return {
+        # 1: 3 and 4 swap cosets of {0, 3}; the reps stay least, but 1 sends p@2 to p@1
+        "coset space not a left-coset partition": _with_space(P, "p", (3, 4)),
+        # 2: p@1 renamed p@4, filed under the rep 4 of its coset {1, 4}
+        "rep not least in its coset": _renamed_object(P, "p@1", "p@4", 4),
+        # 2: p@1 and p@2 filed under each other's reps
+        "id not x@rep": dataclasses.replace(
+            P, obj_info={**P.obj_info, "p@1": (2, "p"), "p@2": (1, "p")}
+        ),
+        # 2: p@2 gone from the scwol and from obj_info alike
+        "coset without a lift": dataclasses.replace(
+            _rebuilt(P, objects=["p@0", "p@1"]), obj_info={k: P.obj_info[k] for k in ("p@0", "p@1")}
+        ),
+        # 2: a base object that no cell lies over
+        "base object without a lift": dataclasses.replace(
+            D, base=Scwol((*S.objects, "w"), S.morphisms, S.comp, label=S.label)
+        ),
+        # 3: v0@1 projected onto v1
+        "projection not constant on a fiber": dataclasses.replace(
+            D,
+            projection=dataclasses.replace(
+                D.projection, on_objects={**D.projection.on_objects, "v0@1": "v1"}
+            ),
+        ),
+        # 4: every a0@r runs m@r -> m@(r+1): equivariant, but 1 inverts a0@0
+        "endpoints over one base object": _lifts_rewired(D, "a0", lambda r: (f"m@{r}", f"m@{(r + 1) % 6}")),
+        # 4: every a0@r runs v1@r' -> v0@r'': equivariant, but 2 fixes v1@0 and moves a0@0
+        "source stabilizer larger": _lifts_rewired(
+            D, "a0", lambda r: (f"v1@{v1.rep_of(r)}", f"v0@{v0.rep_of(r)}")
+        ),
+        # 5: a0@0 alone starts at m@1 (test_check_action_not_functorial breaks t
+        # and a composite)
+        "a generator breaks i": _rebuilt(
+            D, morphisms=[Morphism("a0@0", "m@1", "v0@0"), *D.scwol.morphisms[1:]]
+        ),
+    }
+
+
+FAST_PATH_CASES = [
+    "coset space not a left-coset partition",
+    "rep not least in its coset",
+    "id not x@rep",
+    "coset without a lift",
+    "base object without a lift",
+    "projection not constant on a fiber",
+    "endpoints over one base object",
+    "source stabilizer larger",
+    "a generator breaks i",
+]
+
+
+# cases where some image id is no object, so the scan raises KeyError
+SCAN_RAISES = {"rep not least in its coset", "coset without a lift"}
+
+
+@pytest.mark.parametrize("case", FAST_PATH_CASES)
+def test_fast_path_rejects_each_broken_condition(seg23, seg23_to_z6, case):
+    """Each case breaks one condition of ``check_action``'s fast path, which
+    then rejects, and check_action returns what the scan finds."""
+    broken = _fast_path_cases(seg23, seg23_to_z6)[case]
+    assert not _action_certified(broken)
+    if case in SCAN_RAISES:
+        with pytest.raises(KeyError):
+            check_action(broken)
+        return
+    rep = check_action(broken)
+    assert not rep.ok
+    assert rep == _scan_action(broken)
+
+
+def test_fast_path_accepts_the_unbroken_developments(seg23, seg23_to_z6):
+    assert _action_certified(_point_development())
+    assert _action_certified(build_development(seg23, seg23_to_z6))
 
 
 # -- induced morphisms of local developments ---------------------------------

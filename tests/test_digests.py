@@ -1,6 +1,13 @@
-"""The pinned output digests of tests/digests.py, at the default seed."""
+"""The pinned output digests of tests/digests.py, at the default seed, and
+the fast path of ``check_action`` against its exhaustive scan on the same
+developments."""
 
 from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +18,29 @@ CODES = {
     "NotBijective", "NotFunctorial", "NotAnAction", "ActionInversion", "StabilizerCondition", "OrbitMismatch",
 }
 
+# prints the fast path's verdict on every case, under python -O
+FAST_VERDICTS_SCRIPT = """\
+import json, sys
+if __debug__:
+    sys.exit("asserts are live: not running under -O")
+sys.path.insert(0, sys.argv[1])
+import digests
+from cogkit import develop
+devs, mutations = digests.development_cases(digests.DEFAULT_SEED)
+print(json.dumps([develop._action_certified(D) for D in devs + [D for _, D in mutations]]))
+"""
+
 
 @pytest.fixture(scope="module")
 def cases():
     return digests.development_cases(digests.DEFAULT_SEED)
+
+
+@pytest.fixture(scope="module")
+def scans(cases):
+    """The exhaustive scan's report on every development, then on every mutation."""
+    devs, mutations = cases
+    return [develop._scan_action(D) for D in devs + [D for _, D in mutations]]
 
 
 def _pinned(got: dict) -> dict:
@@ -32,8 +58,26 @@ def test_development_digests_match_the_golden_file(cases):
     assert got == _pinned(got)
 
 
-def test_mutations_cover_every_kind_and_check_action_code(cases):
+def test_mutations_cover_every_kind_and_check_action_code(cases, scans):
     _, mutations = cases
     assert {kind for kind, _ in mutations} == set(digests.MUTATIONS)
-    codes = {f.code for _, D in mutations for f in develop.check_action(D).failures}
-    assert codes == CODES
+    assert {f.code for rep in scans for f in rep.failures} == CODES
+
+
+def test_fast_path_accepts_exactly_what_the_scan_accepts(cases, scans):
+    devs, mutations = cases
+    fast = [develop._action_certified(D) for D in devs + [D for _, D in mutations]]
+    assert fast == [rep.ok for rep in scans]
+    assert all(fast[: len(devs)]) and not all(fast)
+
+
+def test_fast_path_accepts_exactly_what_the_scan_accepts_under_optimize(scans):
+    """The same verdicts in one ``python -O`` process, where ``assert`` is compiled out."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAST_VERDICTS_SCRIPT, str(Path(digests.__file__).parent)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [rep.ok for rep in scans]

@@ -525,6 +525,20 @@ def test_each_subgroup_violation_is_named_alike_everywhere(case):
     assert not groups.is_subgroup(G, subset)
 
 
+@pytest.mark.parametrize("bad", [-1, -6, 6, 7])
+def test_elements_outside_the_group_are_rejected(bad):
+    """Element lists are range-checked, not read through negative indexing:
+    S3's -1 used to close to element 5's subgroup (0, 2, 5)."""
+    S3 = groups.symmetric_group(3)
+    for call in (groups.subgroup_closure, groups.is_subgroup, groups.cosets, groups.subgroup_group):
+        with pytest.raises(IndexOutOfRange, match=f"element {bad} out of range in S3"):
+            call(S3, [S3.identity, bad])
+    C2 = groups.cyclic_group(2)
+    with pytest.raises(IndexOutOfRange):
+        groups.cosets(C2, (-1, 0, 1))
+    assert groups.subgroup_closure(S3, [5]) == (0, 2, 5)
+
+
 def test_generating_set_generates_and_is_greedy():
     assert groups.generating_set(groups.cyclic_group(1)) == []
     for G in (
