@@ -96,9 +96,9 @@ class Development:
         image, for the objects in ``obj_info`` order and the morphisms in
         ``mor_info`` order."""
         row = self.group.mult[g]
-        spaces, src = self.coset_spaces, self.base.src
+        spaces, base_mors = self.coset_spaces, self.base.mor_by_id
         objs = [spaces[o].index_of[row[rep]] for rep, o in self.obj_info.values()]
-        mors = [spaces[src(a)].index_of[row[rep]] for rep, a in self.mor_info.values()]
+        mors = [spaces[base_mors[a].i].index_of[row[rep]] for rep, a in self.mor_info.values()]
         return objs, mors
 
     def act(self, g: int) -> tuple[dict[str, str], dict[str, str]]:
@@ -195,9 +195,9 @@ def check_action(D: Development) -> ValidationReport:
        the base's objects and morphisms (those of morphisms are base
        morphisms, whose source names their coset space);
     3. the projection is constant on the cells over each base object;
-    4. the endpoints of every morphism m = a@r lie over different base
-       objects, and the coset space of i(m)'s base object has as many cosets
-       as that of i(a);
+    4. for one lift m of each base morphism a, the endpoints of m lie over
+       different base objects, and the coset space of i(m)'s base object has
+       as many cosets as that of i(a);
     5. every s in S preserves i, t and every composite.
 
     Proof that these imply that the scan finds nothing.  Write pi_g for
@@ -210,14 +210,16 @@ def check_action(D: Development) -> ValidationReport:
     pi_g preserves i, t and composites are closed under products and contain
     e and, by 5, S; every element of a finite group is a product of
     generators, so they are all of G (no NotFunctorial).  pi_g keeps each
-    cell over its base cell, so g i(m) = t(m) would put both endpoints over
-    one base object, which 4 excludes (no ActionInversion).  If g fixes m, it
-    fixes i(m) = i(gm), so Stab(m) is inside Stab(i(m)); the stabilizer of
-    rH is rHr^-1, of order |G| / [G : H], so by 4 the two have one order and
-    are equal (no StabilizerCondition).  G is transitive on each coset space,
-    so the orbits are the cells over each base cell: by 2 as many as the
-    base has objects and morphisms, and by 3 each object orbit projects
-    onto one base object (no OrbitMismatch).
+    cell over its base cell and G is transitive on the lifts of a, so
+    i(gm) = g i(m) and t(gm) = g t(m) carry 4 to every lift of a.  Then
+    g i(m) = t(m) would put both endpoints over one base object, which 4
+    excludes (no ActionInversion).  If g fixes m, it fixes i(m) = i(gm), so
+    Stab(m) is inside Stab(i(m)); the stabilizer of rH is rHr^-1, of order
+    |G| / [G : H], so by 4 the two have one order and are equal (no
+    StabilizerCondition).  G is transitive on each coset space, so the
+    orbits are the cells over each base cell: by 2 as many as the base has
+    objects and morphisms, and by 3 each object orbit projects onto one base
+    object (no OrbitMismatch).
     """
     if _action_certified(D):
         return ValidationReport(True)
@@ -229,16 +231,20 @@ def _action_certified(D: Development) -> bool:
     G, S, base, spaces = D.group, D.scwol, D.base, D.coset_spaces
     for space in spaces.values():
         try:
-            if groups.cosets(G, space.subgroup) != space:
-                return False
+            genuine = groups.cosets(G, space.subgroup)
         except (IndexOutOfRange, NotASubgroup):
             return False
-
-    def mor_space(a: str) -> Optional[CosetSpace]:
-        return spaces.get(base.src(a)) if a in base.mor_by_id else None
-
-    obj_slots = _cell_slots(D.obj_info, S.objects, spaces.get, G.order)
-    mor_slots = _cell_slots(D.mor_info, [m.id for m in S.morphisms], mor_space, G.order)
+        if genuine is not space and genuine != space:
+            return False
+    if len(S.object_set) != len(S.objects) or D.obj_info.keys() != S.object_set:
+        return False
+    if len(S.mor_by_id) != len(S.morphisms) or D.mor_info.keys() != S.mor_by_id.keys():
+        return False
+    base_mors = base.mor_by_id
+    obj_slots = _cell_slots(D.obj_info, spaces.get, G.order)
+    mor_slots = _cell_slots(
+        D.mor_info, lambda a: spaces.get(base_mors[a].i) if a in base_mors else None, G.order
+    )
     if obj_slots is None or mor_slots is None:
         return False
     if len(obj_slots) != len(base.objects) or len(mor_slots) != len(base.morphisms):
@@ -253,16 +259,15 @@ def _action_certified(D: Development) -> bool:
     mor_pos = dict(zip(D.mor_info, range(len(D.mor_info))))
     obj_base = [o for _, o in D.obj_info.values()]
     mor_base = [a for _, a in D.mor_info.values()]
-    mors = [S.mor_by_id[mid] for mid in D.mor_info]
+    mors = S.mor_by_id
     try:
-        src_pos = [obj_pos[m.i] for m in mors]
-        tgt_pos = [obj_pos[m.t] for m in mors]
+        ends = [(obj_pos[mors[mid].i], obj_pos[mors[mid].t]) for mid in D.mor_info]
         triples = [(mor_pos[u], mor_pos[v], mor_pos[uv]) for (u, v), uv in S.comp.items()]
     except KeyError:
         return False
-    over = set(zip([obj_base[i] for i in src_pos], [obj_base[t] for t in tgt_pos], mor_base))
-    for i_base, t_base, a in over:
-        if i_base == t_base or len(obj_slots[i_base]) != len(mor_slots[a]):
+    for a, slot in mor_slots.items():  # one lift per base morphism: 5 makes the rest agree
+        i, t = ends[slot[0]]
+        if obj_base[i] == obj_base[t] or len(obj_slots[obj_base[i]]) != len(slot):
             return False
     n = len(mor_pos)
     comp = {u * n + v: uv for u, v, uv in triples}
@@ -271,22 +276,18 @@ def _action_certified(D: Development) -> bool:
         obj_k, mor_k = D.cell_action(s)
         po = [obj_slots[o][k] for o, k in zip(obj_base, obj_k)]
         pm = [mor_slots[a][k] for a, k in zip(mor_base, mor_k)]
-        if [src_pos[j] for j in pm] != [po[j] for j in src_pos]:
-            return False
-        if [tgt_pos[j] for j in pm] != [po[j] for j in tgt_pos]:
+        if [ends[j] for j in pm] != [(po[i], po[t]) for i, t in ends]:
             return False
         if {pm[u] * n + pm[v]: pm[uv] for u, v, uv in triples} != comp:
             return False
     return True
 
 
-def _cell_slots(info, ids, space_of, order: int) -> Optional[dict[str, list[int]]]:
+def _cell_slots(info, space_of, order: int) -> Optional[dict[str, list[int]]]:
     """Base cell -> the position in ``info`` of its lift at each coset index,
-    when ``info``'s keys are the distinct ``ids``, every rep r over x is the
-    least element of its coset in ``space_of(x)`` and the id is ``x@r``, and
-    every coset of every x has a lift; otherwise None."""
-    if len(ids) != len(info) or info.keys() != set(ids):
-        return None
+    when every rep r over x is the least element of its coset in
+    ``space_of(x)`` and the id is ``x@r``, and every coset of every x has a
+    lift; otherwise None."""
     if list(info) != [f"{x}@{rep}" for rep, x in info.values()]:
         return None
     slots: dict[str, list[int]] = {}

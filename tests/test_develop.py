@@ -383,6 +383,10 @@ def _fast_path_cases(seg23, seg23_to_z6):
         "coset without a lift": dataclasses.replace(
             _rebuilt(P, objects=["p@0", "p@1"]), obj_info={k: P.obj_info[k] for k in ("p@0", "p@1")}
         ),
+        # 2: a scwol morphism that mor_info does not file
+        "morphism without a cell": _rebuilt(
+            D, morphisms=[*D.scwol.morphisms, Morphism("extra", "m@0", "v0@0")]
+        ),
         # 2: a base object that no cell lies over
         "base object without a lift": dataclasses.replace(
             D, base=Scwol((*S.objects, "w"), S.morphisms, S.comp, label=S.label)
@@ -413,6 +417,7 @@ FAST_PATH_CASES = [
     "rep not least in its coset",
     "id not x@rep",
     "coset without a lift",
+    "morphism without a cell",
     "base object without a lift",
     "projection not constant on a fiber",
     "endpoints over one base object",
@@ -422,7 +427,7 @@ FAST_PATH_CASES = [
 
 
 # cases where some image id is no object, so the scan raises KeyError
-SCAN_RAISES = {"rep not least in its coset", "coset without a lift"}
+SCAN_RAISES = {"rep not least in its coset", "coset without a lift", "morphism without a cell"}
 
 
 @pytest.mark.parametrize("case", FAST_PATH_CASES)
