@@ -25,6 +25,21 @@ The development families run over ``build_corpus(seed, 200)``: every
   development, the kinds taken in turn (``MUTATIONS``); kinds that do not
   apply to a development are skipped;
 - ``development_to_json``: the SHA-256 of each development's emitted bytes.
+
+The document families hash each emitted document by its SHA-256.  The
+digest is taken over the canonical JSON of the payload, as every digest here,
+not over the ``io.dumps`` text the CLI writes: that text is the same JSON
+value with the same sorted keys, indented, so either one determines the
+other, and the indenting encoder is ten times slower.
+- ``corpus_documents``: the ``cog/1`` and ``morphism-to-group/1`` documents
+  that ``gen-corpus --count 200`` writes, then the ``cog-morphism/1`` document
+  of each entry of ``build_morphism_corpus`` (``MORPHISM_COUNT`` entries, seed
+  411 beside the default corpus seed, as in the acceptance suite);
+- ``local_documents``: at every center of every corpus complex, read back from
+  its ``gen-corpus`` document, the documents that ``local-cog``, ``theta``,
+  ``sigma`` and ``local-dev`` write, with their ids.
+``immersion_reports`` is the ``ImmersionReport`` and ``check_coset_condition``
+of every Sigma there and of every morphism-corpus entry.
 """
 
 from __future__ import annotations
@@ -43,13 +58,14 @@ DEFAULT_SEED = 20260811
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from cogkit import corpus, develop, groups, io, local  # noqa: E402
+from cogkit import corpus, develop, groups, immersions, io, local  # noqa: E402
 from cogkit.errors import CogkitError  # noqa: E402
 from cogkit.scwols import Morphism, Scwol  # noqa: E402
 
 CLOSURE_SEEDS = 200
 TABLE_MUTATIONS = 25
 CORPUS_SIZE = 200
+MORPHISM_COUNT = 1000
 MUTATIONS = (
     "drop_object", "duplicate_object", "retarget_morphism", "redirect_composite",
     "shift_mor_rep", "relabel_projection", "unlifted_base_object", "non_coset_space",
@@ -231,12 +247,67 @@ def development_families(cases: tuple[list, list]) -> dict[str, list]:
     }
 
 
+def morphism_seed(seed: int) -> int:
+    return 411 if seed == DEFAULT_SEED else seed
+
+
+def corpus_workspace(seed: int) -> tuple[list[str], io.Workspace]:
+    """The ids and documents that ``gen-corpus --seed seed --count 200`` writes."""
+    documents, cog_ids = {}, []
+    for k, entry in enumerate(corpus.build_corpus(seed, CORPUS_SIZE)):
+        cog_id = f"corpus{k:03d}"
+        cog_ids.append(cog_id)
+        documents[cog_id] = io.cog_to_json(entry.complex, id=cog_id)
+        documents[f"{cog_id}.ambient"] = io.morphism_to_group_to_json(entry.to_ambient, id=f"{cog_id}.ambient")
+    return cog_ids, io.Workspace(root=Path("."), documents=documents)
+
+
+def local_documents(C, cog_id: str, vertex: str) -> list[dict]:
+    """The documents of ``local-cog``, ``theta``, ``sigma`` and ``local-dev`` on ``--cog cog_id --vertex vertex``."""
+    L = local.build_local_cog(C, vertex)
+    return [
+        io.cog_to_json(L.cog, id=f"{cog_id}.local.{vertex}"),
+        io.morphism_to_group_to_json(local.build_theta(L), id=f"{cog_id}.theta.{vertex}"),
+        io.cog_morphism_to_json(local.build_sigma(L), id=f"{cog_id}.sigma.{vertex}"),
+        io.scwol_to_json(develop.build_local_development(C, vertex).scwol, id=f"{cog_id}.localdev.{vertex}"),
+    ]
+
+
+def immersion_data(phi) -> list:
+    report = immersions.check_immersion(phi)
+    coset = immersions.check_coset_condition(phi)
+    return [
+        report.algebraic, report.geometric, sorted([j, s, ok] for (j, s), ok in report.coset.items()),
+        report.metric, report.overall, sorted([j, s, ok] for (j, s), ok in coset.items()),
+    ]
+
+
+def document_families(seed: int, workspace: tuple[list[str], io.Workspace]) -> dict[str, list]:
+    """The document families over ``corpus_workspace(seed)``, passed in as ``workspace``."""
+    cog_ids, ws = workspace
+    morphisms = corpus.build_morphism_corpus(morphism_seed(seed), MORPHISM_COUNT)
+    local_docs, sigma_reports = [], []
+    for cog_id in cog_ids:
+        C = ws.cog(cog_id)
+        for vertex in sorted(C.base.objects):
+            local_docs.append([digest(doc) for doc in local_documents(C, cog_id, vertex)])
+            sigma_reports.append(immersion_data(local.build_sigma(local.build_local_cog(C, vertex))))
+    return {
+        "corpus_documents": [digest(doc) for doc in ws.documents.values()]
+        + [digest(io.cog_morphism_to_json(phi)) for phi in morphisms],
+        "local_documents": local_docs,
+        "immersion_reports": sigma_reports + [immersion_data(phi) for phi in morphisms],
+    }
+
+
 def hashed(families: dict) -> dict[str, str]:
     return {name: digest(data) for name, data in families.items()}
 
 
 def digests(seed: int = DEFAULT_SEED) -> dict[str, str]:
-    return hashed({**group_families(seed), **development_families(development_cases(seed))})
+    return hashed({
+        **group_families(seed), **development_families(development_cases(seed)), **document_families(seed, corpus_workspace(seed)),
+    })
 
 
 def golden(seed: int = DEFAULT_SEED) -> dict[str, str]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import digests
-from cogkit import develop
+from cogkit import cli, develop, io
 
 CODES = {
     "NotBijective", "NotFunctorial", "NotAnAction", "ActionInversion", "StabilizerCondition", "OrbitMismatch",
@@ -25,7 +25,7 @@ if __debug__:
     sys.exit("asserts are live: not running under -O")
 sys.path.insert(0, sys.argv[1])
 import digests
-from cogkit import develop
+from cogkit import cli, develop, io
 devs, mutations = digests.development_cases(digests.DEFAULT_SEED)
 print(json.dumps([develop._action_certified(D) for D in devs + [D for _, D in mutations]]))
 """
@@ -43,6 +43,11 @@ def scans(cases):
     return [develop._scan_action(D) for D in devs + [D for _, D in mutations]]
 
 
+@pytest.fixture(scope="module")
+def workspace():
+    return digests.corpus_workspace(digests.DEFAULT_SEED)
+
+
 def _pinned(got: dict) -> dict:
     golden = digests.golden()
     return {name: golden.get(name) for name in got}
@@ -56,6 +61,32 @@ def test_group_digests_match_the_golden_file():
 def test_development_digests_match_the_golden_file(cases):
     got = digests.hashed(digests.development_families(cases))
     assert got == _pinned(got)
+
+
+def test_document_digests_match_the_golden_file(workspace):
+    got = digests.hashed(digests.document_families(digests.DEFAULT_SEED, workspace))
+    assert got == _pinned(got)
+
+
+def test_hashed_documents_are_what_the_cli_writes(workspace, tmp_path):
+    """``gen-corpus`` and the four local commands write, byte for byte, the
+    ``io.dumps`` text of the documents that the document families hash."""
+    work, out = tmp_path / "work", tmp_path / "out"
+    out.mkdir()
+    argv = ["gen-corpus", "--seed", str(digests.DEFAULT_SEED), "--count", "2", "--out", str(work)]
+    assert cli.main(argv) == 0
+    cog_ids, ws = workspace
+    for name in ("corpus000", "corpus000.ambient", "corpus001", "corpus001.ambient"):
+        assert (work / f"{name}.json").read_text() == io.dumps(ws.documents[name])
+    for cog_id in cog_ids[:2]:
+        C = ws.cog(cog_id)
+        for vertex in sorted(C.base.objects):
+            docs = digests.local_documents(C, cog_id, vertex)
+            for command, doc in zip(("local-cog", "theta", "sigma", "local-dev"), docs):
+                path = out / f"{command}.{cog_id}.{vertex}.json"
+                argv = [command, "--dir", str(work), "--cog", cog_id, "--vertex", vertex, "--emit", str(path)]
+                assert cli.main(argv) == 0
+                assert path.read_text() == io.dumps(doc)
 
 
 def test_mutations_cover_every_kind_and_check_action_code(cases, scans):
