@@ -7,6 +7,7 @@ object ordering is (base object id, coset rep).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -179,7 +180,8 @@ def check_action(D: Development) -> ValidationReport:
     """Check ``D.act``: each g a functorial permutation (NotBijective,
     NotFunctorial), a group action (NotAnAction), no inversions
     (ActionInversion), g fixing i(m) fixes m (StabilizerCondition), and
-    orbits biject with base cells (OrbitMismatch).
+    orbits biject with base cells (OrbitMismatch).  A development on whose
+    cells the action cannot be read gets one UnfiledCell failure instead.
 
     A fast path on integer cells only accepts; when it rejects, the scan
     ``_scan_action`` gives the verdict and names the first failure with its
@@ -307,14 +309,47 @@ def _cell_slots(info, space_of, order: int) -> Optional[dict[str, list[int]]]:
     return slots
 
 
+def _read_action(D: Development) -> tuple[dict, Optional[Failure]]:
+    """Every g's maps on ids, or the first cell at which they cannot be read,
+    as an UnfiledCell failure: a scwol cell or morphism end that ``obj_info``
+    or ``mor_info`` does not file, a filing whose rep lies outside G or whose
+    base cell has no coset space, or an image g.x of a scwol cell that is no
+    filed cell (a rep that is not least in its coset, or a coset without a
+    lift, makes one)."""
+    S, order, spaces, base_mors = D.scwol, D.group.order, D.coset_spaces, D.base.mor_by_id
+    ends = (x for m in S.morphisms for x in (m.i, m.t))
+    stray = [x for x in itertools.chain(S.objects, ends) if x not in D.obj_info]
+    stray += [m.id for m in S.morphisms if m.id not in D.mor_info]
+    stray += [x for x, (rep, o) in D.obj_info.items() if o not in spaces or not 0 <= rep < order]
+    stray += [
+        x for x, (rep, a) in D.mor_info.items()
+        if a not in base_mors or base_mors[a].i not in spaces or not 0 <= rep < order
+    ]
+    if stray:
+        return {}, Failure("UnfiledCell", (stray[0],), f"cell {stray[0]!r} is not filed")
+    acts = {g: D.act(g) for g in D.group.elements()}
+    for g, (omap, mmap) in acts.items():
+        images = itertools.chain(
+            ((x, omap[x], D.obj_info) for x in S.objects),
+            ((m.id, mmap[m.id], S.mor_by_id) for m in S.morphisms),
+        )
+        for x, y, cells in images:
+            if y not in cells:
+                return acts, Failure("UnfiledCell", (g, x, y), f"element {g} sends {x!r} to {y!r}, no cell")
+    return acts, None
+
+
 def _scan_action(D: Development) -> ValidationReport:
     """The exhaustive check behind ``check_action``: every g's maps are built
-    once per call, and each failure names its first witness."""
+    once per call, and each failure names its first witness.  A development
+    whose action cannot be read (``_read_action``) gets that one failure."""
+    acts, unfiled = _read_action(D)
+    if unfiled is not None:
+        return ValidationReport(False, (unfiled,))
     failures: list[Failure] = []
     G = D.group
     scwol = D.scwol
     mor_ids = [m.id for m in scwol.morphisms]
-    acts = {g: D.act(g) for g in G.elements()}
     for g in G.elements():
         omap, mmap = acts[g]
         if sorted(omap.values()) != sorted(scwol.objects):
@@ -379,7 +414,7 @@ def _scan_action(D: Development) -> ValidationReport:
         )
     else:
         for orb in obj_orbits:
-            bases = {D.projection.obj(x) for x in orb}
+            bases = {D.projection.on_objects.get(x) for x in orb}
             if len(bases) != 1:
                 failures.append(
                     Failure("OrbitMismatch", tuple(sorted(orb))[:2], "orbit projects onto several base objects")

@@ -426,8 +426,12 @@ FAST_PATH_CASES = [
 ]
 
 
-# cases where some image id is no object, so the scan raises KeyError
-SCAN_RAISES = {"rep not least in its coset", "coset without a lift", "morphism without a cell"}
+# cases where the scan cannot read the action: its one failure's witness
+UNFILED = {
+    "rep not least in its coset": (0, "p@4", "p@1"),
+    "coset without a lift": (1, "p@1", "p@2"),
+    "morphism without a cell": ("extra",),
+}
 
 
 @pytest.mark.parametrize("case", FAST_PATH_CASES)
@@ -436,13 +440,11 @@ def test_fast_path_rejects_each_broken_condition(seg23, seg23_to_z6, case):
     then rejects, and check_action returns what the scan finds."""
     broken = _fast_path_cases(seg23, seg23_to_z6)[case]
     assert not _action_certified(broken)
-    if case in SCAN_RAISES:
-        with pytest.raises(KeyError):
-            check_action(broken)
-        return
     rep = check_action(broken)
     assert not rep.ok
     assert rep == _scan_action(broken)
+    if case in UNFILED:
+        assert [(f.code, f.witness) for f in rep.failures] == [("UnfiledCell", UNFILED[case])]
 
 
 def test_fast_path_accepts_the_unbroken_developments(seg23, seg23_to_z6):
