@@ -180,7 +180,8 @@ def check_action(D: Development) -> ValidationReport:
     """Check ``D.act``: each g a functorial permutation (NotBijective,
     NotFunctorial), a group action (NotAnAction), no inversions
     (ActionInversion), g fixing i(m) fixes m (StabilizerCondition), and
-    orbits biject with base cells (OrbitMismatch).  A development on whose
+    orbits biject with base cells, each object orbit projecting onto the
+    base object its cells lie over (OrbitMismatch).  A development on whose
     cells the action cannot be read gets one UnfiledCell failure instead.
 
     A fast path on integer cells only accepts; when it rejects, the scan
@@ -196,7 +197,7 @@ def check_action(D: Development) -> ValidationReport:
        named there has a cell, and the base cells named number as many as
        the base's objects and morphisms (those of morphisms are base
        morphisms, whose source names their coset space);
-    3. the projection is constant on the cells over each base object;
+    3. the projection sends each object cell x@r to its base object x;
     4. for one lift m of each base morphism a, the endpoints of m lie over
        different base objects, and the coset space of i(m)'s base object has
        as many cosets as that of i(a);
@@ -220,8 +221,8 @@ def check_action(D: Development) -> ValidationReport:
     |G| / [G : H], so by 4 the two have one order and are equal (no
     StabilizerCondition).  G is transitive on each coset space, so the
     orbits are the cells over each base cell: by 2 as many as the base has
-    objects and morphisms, and by 3 each object orbit projects onto one base
-    object (no OrbitMismatch).
+    objects and morphisms, and by 3 each object orbit projects onto the base
+    object its cells lie over (no OrbitMismatch).
     """
     if _action_certified(D):
         return ValidationReport(True)
@@ -252,9 +253,7 @@ def _action_certified(D: Development) -> bool:
     if len(obj_slots) != len(base.objects) or len(mor_slots) != len(base.morphisms):
         return False
     proj = D.projection.on_objects
-    if not proj.keys() >= D.obj_info.keys():
-        return False
-    if len({(o, proj[oid]) for oid, (_, o) in D.obj_info.items()}) != len(obj_slots):
+    if any(proj.get(oid) != o for oid, (_, o) in D.obj_info.items()):
         return False
 
     obj_pos = dict(zip(D.obj_info, range(len(D.obj_info))))
@@ -413,11 +412,16 @@ def _scan_action(D: Development) -> ValidationReport:
             )
         )
     else:
+        proj = D.projection.on_objects
         for orb in obj_orbits:
-            bases = {D.projection.on_objects.get(x) for x in orb}
-            if len(bases) != 1:
+            wrong = sorted(x for x in orb if proj.get(x) != D.obj_info[x][1])
+            if wrong:
                 failures.append(
-                    Failure("OrbitMismatch", tuple(sorted(orb))[:2], "orbit projects onto several base objects")
+                    Failure(
+                        "OrbitMismatch",
+                        (wrong[0], proj.get(wrong[0])),
+                        "orbit does not project onto the base object its cells lie over",
+                    )
                 )
     if len(mor_orbits) != len(D.base.morphisms):
         failures.append(

@@ -297,13 +297,20 @@ def test_check_action_stabilizer_condition(seg23, seg23_to_z6):
 def test_check_action_orbit_mismatch(seg23, seg23_to_z6):
     D = build_development(seg23, seg23_to_z6)
     proj = D.projection
-    # v0@1 projected onto v1: the orbit of v0@0 lies over two base objects
+    # v0@1 projected onto v1, not onto the base object it lies over
     wrong = dataclasses.replace(
         D,
         projection=dataclasses.replace(proj, on_objects={**proj.on_objects, "v0@1": "v1"}),
     )
     rep = check_action(wrong)
-    assert [(f.code, f.witness) for f in rep.failures] == [("OrbitMismatch", ("v0@0", "v0@1"))]
+    assert [(f.code, f.witness) for f in rep.failures] == [("OrbitMismatch", ("v0@1", "v1"))]
+    # the fibers over v0 and v1 projected onto each other: each orbit still
+    # projects onto one base object, and onto distinct ones, but not its own
+    swap = {"v0": "v1", "v1": "v0"}
+    swapped = {oid: swap.get(o, o) for oid, o in proj.on_objects.items()}
+    wrong = dataclasses.replace(D, projection=dataclasses.replace(proj, on_objects=swapped))
+    assert not _action_certified(wrong)
+    assert _first(wrong, "OrbitMismatch") == ("v0@0", "v1")
     # a base object with no lift: three orbits over four base objects
     S = D.base
     bigger = Scwol((*S.objects, "w"), S.morphisms, S.comp, label=S.label)
