@@ -143,10 +143,13 @@ def from_permutation_generators(
     """Close a set of permutations of {0..degree-1} under composition.
 
     Element order is breadth-first discovery order with the identity first,
-    which keeps element indices stable across runs.
+    which keeps element indices stable across runs.  A degree above ``cap``
+    is rejected before anything of that size is allocated.
     """
     if degree < 0:
         raise NotPermutation(f"degree {degree} is negative")
+    if degree > cap:
+        raise ClosureTooLarge(f"degree {degree} exceeds cap {cap}")
     checked: list[tuple[int, ...]] = []
     for g in gens:
         p = tuple(int(v) for v in g)

@@ -264,6 +264,11 @@ def test_perm_gens_errors():
     for gens in ([], [[]]):
         with pytest.raises(NotPermutation, match=r"^degree -3 is negative$"):
             groups.from_permutation_generators(-3, gens)
+    cap = groups.DEFAULT_CLOSURE_CAP
+    with pytest.raises(ClosureTooLarge, match=rf"^degree {cap + 1} exceeds cap {cap}$"):
+        groups.from_permutation_generators(cap + 1, [])
+    with pytest.raises(ClosureTooLarge, match=r"^degree 6 exceeds cap 5$"):
+        groups.from_permutation_generators(6, [], cap=5)
 
 
 def test_standard_groups():

@@ -368,6 +368,20 @@ def test_cli_negative_degree_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: degree -3 is negative\n"
 
 
+def test_cli_degree_above_the_closure_cap_is_rejected(tmp_path, capsys):
+    degree, cap = groups.DEFAULT_CLOSURE_CAP + 1, groups.DEFAULT_CLOSURE_CAP
+
+    def huge_degree(doc):
+        del doc["cayley"], doc["identity"]
+        doc.update(degree=degree, perm_gens=[])
+
+    ws = workspace_with(tmp_path, "z3", huge_degree)
+    assert run_cli("validate", ws / "z3.json", "--dir", ws) == 1
+    assert capsys.readouterr().out == f"INVALID {ws / 'z3.json'}: degree {degree} exceeds cap {cap}\n"
+    assert run_cli("abel", "--dir", ws, "--cog", "seg23") == 2
+    assert capsys.readouterr().err == f"error: degree {degree} exceeds cap {cap}\n"
+
+
 def test_cli_format_outside_the_commands_choices_exits_2(capsys):
     assert exit_code("pi1", "--dir", FIXTURES, "--cog", "seg23", "--format", "off") == 2
     assert exit_code("realize", "--dir", FIXTURES, "--scwol", "delta2", "--format", "cas") == 2
