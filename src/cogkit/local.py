@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from . import groups
 from .complexes import CogMorphism, ComplexOfGroups, MorphismToGroup
-from .errors import TreeNotSpanning
 from .groups import FiniteGroup, GroupHom
-from .scwols import UPPER_SOURCED, StarScwol, is_spanning_tree, star_projection, star_scwol
+from .scwols import UPPER_SOURCED, StarScwol, star_projection, star_scwol
 
 
 @dataclass(frozen=True)
@@ -34,14 +33,12 @@ class LocalCog:
         return self.parent.group_of[self.gamma]
 
     def star_tree(self) -> tuple[str, ...]:
-        """The spanning tree {b*gamma} + {gamma*c} used by Theta."""
-        tree = tuple(sorted(
-            mid for mid, fam in self.star.mor_family.items()
-            if fam[0] in ("gamma_c", "b_gamma")
+        """The spanning tree {b*gamma} + {gamma*c} used by Theta.  It spans by
+        construction: one gamma*c joins each upper object to the center, and
+        one b*gamma joins the center to each lower object."""
+        return tuple(sorted(
+            mid for mid, fam in self.star.mor_family.items() if fam[0] in ("gamma_c", "b_gamma")
         ))
-        if not is_spanning_tree(self.star, tree):
-            raise TreeNotSpanning("star tree {b*gamma, gamma*c} does not span the star")
-        return tree
 
 
 def build_local_cog(C: ComplexOfGroups, gamma: str) -> LocalCog:
@@ -78,37 +75,30 @@ def build_local_cog(C: ComplexOfGroups, gamma: str) -> LocalCog:
 def build_theta(L: LocalCog) -> MorphismToGroup:
     """The morphism from the local complex to its center group.
 
-    Local maps: lambda_{gamma*c} on upper objects, identities elsewhere.
-    Edge elements read the local twists back:
+    In the local twists l it reads
 
         Theta((c,d))   = l_{gamma*c, (c,d)}
         Theta(b*c)     = l_{b*gamma, gamma*c}^-1
         Theta((a,b))   = l_{(a,b), b*gamma}
         Theta(gamma*c) = Theta(b*gamma) = e
+
+    and L's twist on a pair is g_{c,d} when its second factor is the
+    upper-link edge (c, d) and e on every other pair, so Theta is read from
+    the ambient data: psi_c on the upper object over c and identities
+    elsewhere, g_{c,d} on the upper-link edge (c, d) and e elsewhere.
     """
-    star = L.star
-    cog = L.cog
-    G = L.center_group
+    star, C, G = L.star, L.parent, L.center_group
     ident = groups.identity_hom(G)
-    gc = {c: star.id_of["gamma_c", None, c] for _, c in star.upper.values()}
-    bg = {b: star.id_of["b_gamma", None, b] for b in star.lower.values()}
     phi_local: dict[str, GroupHom] = {star.center_id: ident}
     for oid, (_, c) in star.upper.items():
-        phi_local[oid] = cog.psi[gc[c]]
+        phi_local[oid] = C.psi[c]
     for oid in star.lower:
         phi_local[oid] = ident
-
-    phi_edge: dict[str, int] = {}
-    for mid, (kind, _, *parts) in star.mor_family.items():
-        if kind == "lk_up":
-            phi_edge[mid] = cog.twist[(gc[parts[0]], mid)]
-        elif kind == "b_c":
-            phi_edge[mid] = G.inv[cog.twist[(bg[parts[0]], gc[parts[1]])]]
-        elif kind == "lk_dn":
-            phi_edge[mid] = cog.twist[(mid, bg[parts[1]])]
-        else:  # gamma_c, b_gamma
-            phi_edge[mid] = G.identity
-    return MorphismToGroup(source=cog, target=G, phi_local=phi_local, phi_edge=phi_edge)
+    phi_edge = {
+        mid: C.twist[(parts[0], parts[1])] if kind == "lk_up" else G.identity
+        for mid, (kind, _, *parts) in star.mor_family.items()
+    }
+    return MorphismToGroup(source=L.cog, target=G, phi_local=phi_local, phi_edge=phi_edge)
 
 
 def build_sigma(L: LocalCog) -> CogMorphism:

@@ -13,6 +13,7 @@ from cogkit.complexes import (
 )
 from cogkit.errors import UnknownObject
 from cogkit.local import build_local_cog, build_sigma, build_theta
+from cogkit.scwols import is_spanning_tree
 
 
 def trivial_cog(S):
@@ -114,6 +115,7 @@ def test_star_tree_spans(seg23, star_s3, triangle_cog):
             L = build_local_cog(C, o)
             tree = L.star_tree()
             assert len(tree) == len(L.star.objects) - 1
+            assert is_spanning_tree(L.star, tree)
 
 
 # -- Sigma -------------------------------------------------------------------
