@@ -39,20 +39,7 @@ class LocalDevelopment:
     """
 
     scwol: StarScwol
-    source: ComplexOfGroups
     coset_spaces: dict[str, CosetSpace]  # per upper-link base morphism c
-
-    @property
-    def upper_objects(self) -> dict[str, tuple[int, str]]:
-        return self.scwol.upper
-
-    @property
-    def lower_objects(self) -> dict[str, str]:
-        return self.scwol.lower
-
-    @property
-    def mor_family(self) -> dict[str, tuple]:
-        return self.scwol.mor_family
 
 
 def build_local_development(C: ComplexOfGroups, gamma: str) -> LocalDevelopment:
@@ -67,7 +54,7 @@ def build_local_development(C: ComplexOfGroups, gamma: str) -> LocalDevelopment:
     scwol = StarScwol(
         S, gamma, lambda c: spaces[c].reps, shift, f"{S.label}({gamma}~)", sort_objects=True
     )
-    return LocalDevelopment(scwol=scwol, source=C, coset_spaces=spaces)
+    return LocalDevelopment(scwol=scwol, coset_spaces=spaces)
 
 
 # -- developments -------------------------------------------------------------
@@ -517,7 +504,7 @@ def local_dev_morphism_injectivity(
     f = build_local_dev_morphism(phi, sigma, src=src, tgt=tgt)
     obj_inj = len(set(f.on_objects.values())) == len(f.on_objects)
     mor_inj = len(set(f.on_morphisms.values())) == len(f.on_morphisms)
-    upper = [f.on_objects[o] for o in src.upper_objects]
+    upper = [f.on_objects[o] for o in src.scwol.upper]
     return {
         "objects": obj_inj,
         "morphisms": mor_inj,

@@ -73,7 +73,7 @@ def test_local_dev_trivial_iso_to_star(two_simplex):
 def test_local_dev_star_s3_tripod(star_s3):
     dev = build_local_development(star_s3, "g")
     # coset enumeration oracle: [S3 : Z/2] = 3 upper objects
-    assert len(dev.upper_objects) == 3
+    assert len(dev.scwol.upper) == 3
     assert len(dev.scwol.objects) == 4
     assert len(dev.scwol.morphisms) == 3
     assert not dev.scwol.comp
@@ -83,8 +83,8 @@ def test_local_dev_star_s3_tripod(star_s3):
 def test_local_dev_seg23_at_v0(seg23):
     dev = build_local_development(seg23, "v0")
     # [Z/2 : 1] = 2 upper objects
-    assert len(dev.upper_objects) == 2
-    assert len(dev.lower_objects) == 0
+    assert len(dev.scwol.upper) == 2
+    assert len(dev.scwol.lower) == 0
 
 
 def test_local_dev_triangle_twist_in_t_map(triangle_cog):
@@ -94,11 +94,11 @@ def test_local_dev_triangle_twist_in_t_map(triangle_cog):
     gamma = triangle_cog.base.tgt(c)
     dev = build_local_development(triangle_cog, gamma)
     z2 = triangle_cog.group_of[gamma]
-    for mid, fam in dev.mor_family.items():
+    for mid, fam in dev.scwol.mor_family.items():
         if fam[0] == "lk_up" and fam[2:] == (c, d):
             rep = fam[1]
             t_obj = dev.scwol.tgt(mid)
-            t_rep, t_c = dev.upper_objects[t_obj]
+            t_rep, t_c = dev.scwol.upper[t_obj]
             assert t_c == c
             expect = dev.coset_spaces[c].rep_of(z2.mul(rep, z2.inv[1]))
             assert t_rep == expect
@@ -479,8 +479,8 @@ def test_phi_sigma_for_sigma_morphism_star_s3(star_s3):
     f = build_local_dev_morphism(sigma, L.star.center_id)
     src_dev = build_local_development(L.cog, L.star.center_id)
     tgt_dev = build_local_development(star_s3, "g")
-    uppers_src = set(src_dev.upper_objects)
-    uppers_tgt = set(tgt_dev.upper_objects)
+    uppers_src = set(src_dev.scwol.upper)
+    uppers_tgt = set(tgt_dev.scwol.upper)
     assert {f.on_objects[o] for o in uppers_src} == uppers_tgt
 
 
