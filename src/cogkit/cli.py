@@ -95,38 +95,21 @@ def _resolve_cog(args, ws: cio.Workspace):
     return ws.cog(_required(args, "cog"))
 
 
-def cmd_local_cog(args, ws) -> int:
-    L = build_local_cog(_resolve_cog(args, ws), _required(args, "vertex"))
-    _emit(cio.dumps(cio.cog_to_json(L.cog, id=f"{args.cog}.local.{args.vertex}")), args.emit)
-    return 0
+# command -> (id infix, what it builds from (complex, vertex), the writer)
+LOCAL_COMMANDS = {
+    "local-cog": ("local", lambda C, v: build_local_cog(C, v).cog, cio.cog_to_json),
+    "theta": ("theta", lambda C, v: build_theta(build_local_cog(C, v)), cio.morphism_to_group_to_json),
+    "sigma": ("sigma", lambda C, v: build_sigma(build_local_cog(C, v)), cio.cog_morphism_to_json),
+    "local-dev": ("localdev", lambda C, v: build_local_development(C, v).scwol, cio.scwol_to_json),
+}
 
 
-def cmd_theta(args, ws) -> int:
-    L = build_local_cog(_resolve_cog(args, ws), _required(args, "vertex"))
-    theta = build_theta(L)
-    _emit(
-        cio.dumps(cio.morphism_to_group_to_json(theta, id=f"{args.cog}.theta.{args.vertex}")),
-        args.emit,
-    )
-    return 0
-
-
-def cmd_sigma(args, ws) -> int:
-    L = build_local_cog(_resolve_cog(args, ws), _required(args, "vertex"))
-    sigma = build_sigma(L)
-    _emit(
-        cio.dumps(cio.cog_morphism_to_json(sigma, id=f"{args.cog}.sigma.{args.vertex}")),
-        args.emit,
-    )
-    return 0
-
-
-def cmd_local_dev(args, ws) -> int:
-    dev = build_local_development(_resolve_cog(args, ws), _required(args, "vertex"))
-    _emit(
-        cio.dumps(cio.scwol_to_json(dev.scwol, id=f"{args.cog}.localdev.{args.vertex}")),
-        args.emit,
-    )
+def cmd_local(args, ws) -> int:
+    """The four local commands: ``--cog`` is resolved before ``--vertex`` is required."""
+    infix, build, to_json = LOCAL_COMMANDS[args.command]
+    C = _resolve_cog(args, ws)
+    vertex = _required(args, "vertex")
+    _emit(cio.dumps(to_json(build(C, vertex), id=f"{args.cog}.{infix}.{vertex}")), args.emit)
     return 0
 
 
@@ -274,10 +257,7 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "validate": Command(cmd_validate, files="+"),
-    "local-cog": Command(cmd_local_cog, ("cog", "vertex", "emit")),
-    "theta": Command(cmd_theta, ("cog", "vertex", "emit")),
-    "sigma": Command(cmd_sigma, ("cog", "vertex", "emit")),
-    "local-dev": Command(cmd_local_dev, ("cog", "vertex", "emit")),
+    **{name: Command(cmd_local, ("cog", "vertex", "emit")) for name in LOCAL_COMMANDS},
     "develop": Command(cmd_develop, ("mor", "cog", "emit")),
     "pi1": Command(cmd_pi1, ("cog", "tree", "emit"), formats=("json", "cas", "plain")),
     "abel": Command(cmd_abel, ("pres", "cog", "tree", "emit")),
