@@ -23,7 +23,6 @@ from .complexes import (
     ComplexOfGroups,
     MorphismToGroup,
     coboundary,
-    compose_to_group,
     identity_cog_morphism,
 )
 from .errors import DirectedCycle
@@ -209,12 +208,13 @@ def random_entry(rng: random.Random) -> CorpusEntry:
     ambient = rng.choices(_catalog(), weights=_AMBIENT_WEIGHTS, k=1)[0]
     C, theta = random_subgroup_complex(S, ambient, rng)
     if S.comp and rng.random() < 0.75:
+        # theta composed with the coboundary back by g^-1, in closed form:
+        # the inclusions iota, with edge element iota_t(a)(g_a^-1) on each a
         g = {m.id: rng.randrange(C.group_of[m.t].order) for m in S.morphisms}
-        twisted, _ = coboundary(C, g)
-        ginv = {m.id: C.group_of[m.t].inv[g[m.id]] for m in S.morphisms}
-        _, iso_back = coboundary(twisted, ginv)
-        theta = compose_to_group(theta, iso_back)
-        C = twisted
+        C, _ = coboundary(C, g)
+        iota = theta.phi_local
+        phi_edge = {m.id: iota[m.t](C.group_of[m.t].inv[g[m.id]]) for m in S.morphisms}
+        theta = MorphismToGroup(source=C, target=ambient, phi_local=iota, phi_edge=phi_edge)
     return CorpusEntry(complex=C, ambient=ambient, to_ambient=theta)
 
 
