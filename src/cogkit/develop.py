@@ -302,15 +302,13 @@ def _read_action(D: Development) -> tuple[dict, Optional[Failure]]:
     base cell has no coset space, or an image g.x of a scwol cell that is no
     filed cell (a rep that is not least in its coset, or a coset without a
     lift, makes one)."""
-    S, order, spaces, base_mors = D.scwol, D.group.order, D.coset_spaces, D.base.mor_by_id
+    S, base_mors = D.scwol, D.base.mor_by_id
     ends = (x for m in S.morphisms for x in (m.i, m.t))
     stray = [x for x in itertools.chain(S.objects, ends) if x not in D.obj_info]
     stray += [m.id for m in S.morphisms if m.id not in D.mor_info]
-    stray += [x for x, (rep, o) in D.obj_info.items() if o not in spaces or not 0 <= rep < order]
-    stray += [
-        x for x, (rep, a) in D.mor_info.items()
-        if a not in base_mors or base_mors[a].i not in spaces or not 0 <= rep < order
-    ]
+    homes = [(x, rep, o) for x, (rep, o) in D.obj_info.items()]
+    homes += [(x, rep, base_mors[a].i if a in base_mors else None) for x, (rep, a) in D.mor_info.items()]
+    stray += [x for x, rep, o in homes if o not in D.coset_spaces or not 0 <= rep < D.group.order]
     if stray:
         return {}, Failure("UnfiledCell", (stray[0],), f"cell {stray[0]!r} is not filed")
     acts = {g: D.act(g) for g in D.group.elements()}
@@ -333,103 +331,70 @@ def _scan_action(D: Development) -> ValidationReport:
     if unfiled is not None:
         return ValidationReport(False, (unfiled,))
     failures: list[Failure] = []
-    G = D.group
-    scwol = D.scwol
-    mor_ids = [m.id for m in scwol.morphisms]
-    for g in G.elements():
-        omap, mmap = acts[g]
-        if sorted(omap.values()) != sorted(scwol.objects):
-            failures.append(Failure("NotBijective", (g,), f"element {g} does not permute objects"))
+
+    def fail(code: str, witness: tuple, message: str) -> None:
+        failures.append(Failure(code, witness, message))
+
+    G, S, base = D.group, D.scwol, D.base
+    for g, (omap, mmap) in acts.items():
+        if sorted(omap.values()) != sorted(S.objects):
+            fail("NotBijective", (g,), f"element {g} does not permute objects")
             continue
-        for m in scwol.morphisms:
-            img = mmap[m.id]
-            if scwol.src(img) != omap[m.i] or scwol.tgt(img) != omap[m.t]:
-                failures.append(
-                    Failure("NotFunctorial", (g, m.id), f"element {g} breaks i/t at {m.id!r}")
-                )
+        for m in S.morphisms:
+            if (S.src(mmap[m.id]), S.tgt(mmap[m.id])) != (omap[m.i], omap[m.t]):
+                fail("NotFunctorial", (g, m.id), f"element {g} breaks i/t at {m.id!r}")
                 break
-        for (u, v), uv in scwol.comp.items():
-            if scwol.comp.get((mmap[u], mmap[v])) != mmap[uv]:
-                failures.append(
-                    Failure("NotFunctorial", (g, u, v), f"element {g} breaks composition at {(u, v)}")
-                )
+        for (u, v), uv in S.comp.items():
+            if S.comp.get((mmap[u], mmap[v])) != mmap[uv]:
+                fail("NotFunctorial", (g, u, v), f"element {g} breaks composition at {(u, v)}")
                 break
     # group law g.(h.x) = (gh).x; checking h over a generating set is complete
     gens = groups.generating_set(G)
-    done = False
-    for g in G.elements():
-        if done:
-            break
-        for h in gens:
-            gh = G.mul(g, h)
-            for oid in scwol.objects:
-                if acts[g][0][acts[h][0][oid]] != acts[gh][0][oid]:
-                    failures.append(
-                        Failure("NotAnAction", (g, h, oid), f"action law fails at ({g}, {h}, {oid!r})")
-                    )
-                    done = True
-                    break
-            if done:
-                break
+    broken = next((
+        (g, h, x) for g in G.elements() for h in gens for x in S.objects
+        if acts[g][0][acts[h][0][x]] != acts[G.mul(g, h)][0][x]
+    ), None)
+    if broken is not None:
+        fail("NotAnAction", broken, "action law fails at ({}, {}, {!r})".format(*broken))
     # no inversions and the stabilizer condition
-    for g in G.elements():
-        omap, mmap = acts[g]
-        for m in scwol.morphisms:
+    for g, (omap, mmap) in acts.items():
+        for m in S.morphisms:
             if omap[m.i] == m.t:
-                failures.append(
-                    Failure("ActionInversion", (g, m.id), f"element {g} inverts {m.id!r}")
-                )
+                fail("ActionInversion", (g, m.id), f"element {g} inverts {m.id!r}")
             if omap[m.i] == m.i and mmap[m.id] != m.id:
-                failures.append(
-                    Failure(
-                        "StabilizerCondition",
-                        (g, m.id),
-                        f"element {g} fixes i({m.id!r}) but moves the morphism",
-                    )
-                )
-    # orbits biject with base objects/morphisms under the projection
-    obj_orbits = _orbits(scwol.objects, {g: omap for g, (omap, _) in acts.items()})
-    mor_orbits = _orbits(mor_ids, {g: mmap for g, (_, mmap) in acts.items()})
-    if len(obj_orbits) != len(D.base.objects):
-        failures.append(
-            Failure(
-                "OrbitMismatch",
-                (len(obj_orbits), len(D.base.objects)),
-                "object orbit count differs from base object count",
-            )
+                message = f"element {g} fixes i({m.id!r}) but moves the morphism"
+                fail("StabilizerCondition", (g, m.id), message)
+    # orbits biject with base objects/morphisms, each object orbit over its own base object
+    obj_orbits = _orbits(S.objects, [omap for omap, _ in acts.values()])
+    mor_orbits = _orbits([m.id for m in S.morphisms], [mmap for _, mmap in acts.values()])
+    if len(obj_orbits) != len(base.objects):
+        fail(
+            "OrbitMismatch",
+            (len(obj_orbits), len(base.objects)),
+            "object orbit count differs from base object count",
         )
     else:
         proj = D.projection.on_objects
         for orb in obj_orbits:
             wrong = sorted(x for x in orb if proj.get(x) != D.obj_info[x][1])
             if wrong:
-                failures.append(
-                    Failure(
-                        "OrbitMismatch",
-                        (wrong[0], proj.get(wrong[0])),
-                        "orbit does not project onto the base object its cells lie over",
-                    )
-                )
-    if len(mor_orbits) != len(D.base.morphisms):
-        failures.append(
-            Failure(
-                "OrbitMismatch",
-                (len(mor_orbits), len(D.base.morphisms)),
-                "morphism orbit count differs from base morphism count",
-            )
+                message = "orbit does not project onto its base object"
+                fail("OrbitMismatch", (wrong[0], proj.get(wrong[0])), message)
+    if len(mor_orbits) != len(base.morphisms):
+        fail(
+            "OrbitMismatch",
+            (len(mor_orbits), len(base.morphisms)),
+            "morphism orbit count differs from base morphism count",
         )
     return ValidationReport(not failures, tuple(failures))
 
 
-def _orbits(items, maps):
-    seen = set()
-    orbits = []
+def _orbits(items, maps: list[dict]) -> list[set]:
+    seen, orbits = set(), []
     for x in items:
-        if x in seen:
-            continue
-        orb = {maps[g][x] for g in maps}
-        orbits.append(orb)
-        seen |= orb
+        if x not in seen:
+            orbits.append({m[x] for m in maps})
+            seen |= orbits[-1]
     return orbits
 
 
