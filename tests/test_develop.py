@@ -382,6 +382,10 @@ def _fast_path_cases(seg23, seg23_to_z6):
         "coset space not a left-coset partition": _with_space(P, "p", (3, 4)),
         # 2: p@1 renamed p@4, filed under the rep 4 of its coset {1, 4}
         "rep not least in its coset": _renamed_object(P, "p@1", "p@4", 4),
+        # 2: p@1 renamed p@7 and filed under 7, which is no element of Z/6
+        "rep outside the group": _renamed_object(P, "p@1", "p@7", 7),
+        # 2: the cells over p filed under a base object with no coset space
+        "base object without a coset space": dataclasses.replace(P, coset_spaces={}),
         # 2: p@1 and p@2 filed under each other's reps
         "id not x@rep": dataclasses.replace(
             P, obj_info={**P.obj_info, "p@1": (2, "p"), "p@2": (1, "p")}
@@ -422,6 +426,8 @@ def _fast_path_cases(seg23, seg23_to_z6):
 FAST_PATH_CASES = [
     "coset space not a left-coset partition",
     "rep not least in its coset",
+    "rep outside the group",
+    "base object without a coset space",
     "id not x@rep",
     "coset without a lift",
     "morphism without a cell",
@@ -436,6 +442,8 @@ FAST_PATH_CASES = [
 # cases where the scan cannot read the action: its one failure's witness
 UNFILED = {
     "rep not least in its coset": (0, "p@4", "p@1"),
+    "rep outside the group": ("p@7",),
+    "base object without a coset space": ("p@0",),
     "coset without a lift": (1, "p@1", "p@2"),
     "morphism without a cell": ("extra",),
 }
