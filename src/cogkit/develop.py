@@ -297,15 +297,17 @@ def _cell_slots(info, space_of, order: int) -> Optional[dict[str, list[int]]]:
 
 def _read_action(D: Development) -> tuple[dict, Optional[Failure]]:
     """Every g's maps on ids, or the first cell at which they cannot be read,
-    as an UnfiledCell failure: a scwol cell or morphism end that ``obj_info``
-    or ``mor_info`` does not file, a filing whose rep lies outside G or whose
-    base cell has no coset space, or an image g.x of a scwol cell that is no
-    filed cell (a rep that is not least in its coset, or a coset without a
-    lift, makes one)."""
+    as an UnfiledCell failure: a scwol object or morphism end that
+    ``obj_info`` does not file, a scwol morphism or composition-table entry
+    that ``mor_info`` does not file, a filing whose rep lies outside G or
+    whose base cell has no coset space, or an image g.x of a scwol cell that
+    is no filed cell (a rep that is not least in its coset, or a coset
+    without a lift, makes one)."""
     S, base_mors = D.scwol, D.base.mor_by_id
     ends = (x for m in S.morphisms for x in (m.i, m.t))
     stray = [x for x in itertools.chain(S.objects, ends) if x not in D.obj_info]
-    stray += [m.id for m in S.morphisms if m.id not in D.mor_info]
+    table = (x for (u, v), uv in S.comp.items() for x in (u, v, uv))
+    stray += [x for x in itertools.chain(S.mor_by_id, table) if x not in D.mor_info]
     homes = [(x, rep, o) for x, (rep, o) in D.obj_info.items()]
     homes += [(x, rep, base_mors[a].i if a in base_mors else None) for x, (rep, a) in D.mor_info.items()]
     stray += [x for x, rep, o in homes if o not in D.coset_spaces or not 0 <= rep < D.group.order]

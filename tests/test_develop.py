@@ -398,6 +398,8 @@ def _fast_path_cases(seg23, seg23_to_z6):
         "morphism without a cell": _rebuilt(
             D, morphisms=[*D.scwol.morphisms, Morphism("extra", "m@0", "v0@0")]
         ),
+        # 2: a composite that names no morphism
+        "composite without a cell": _rebuilt(D, comp={**D.scwol.comp, ("a0@0", "a1@0"): "extra"}),
         # 2: a base object that no cell lies over
         "base object without a lift": dataclasses.replace(
             D, base=Scwol((*S.objects, "w"), S.morphisms, S.comp, label=S.label)
@@ -431,6 +433,7 @@ FAST_PATH_CASES = [
     "id not x@rep",
     "coset without a lift",
     "morphism without a cell",
+    "composite without a cell",
     "base object without a lift",
     "projection not constant on a fiber",
     "endpoints over one base object",
@@ -446,6 +449,7 @@ UNFILED = {
     "base object without a coset space": ("p@0",),
     "coset without a lift": (1, "p@1", "p@2"),
     "morphism without a cell": ("extra",),
+    "composite without a cell": ("extra",),
 }
 
 
