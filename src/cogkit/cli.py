@@ -91,10 +91,6 @@ def _required(args, option: str) -> str:
     return value
 
 
-def _resolve_cog(args, ws: cio.Workspace):
-    return ws.cog(_required(args, "cog"))
-
-
 # command -> (id infix, what it builds from (complex, vertex), the writer)
 LOCAL_COMMANDS = {
     "local-cog": ("local", lambda C, v: build_local_cog(C, v).cog, cio.cog_to_json),
@@ -107,7 +103,7 @@ LOCAL_COMMANDS = {
 def cmd_local(args, ws) -> int:
     """The four local commands: ``--cog`` is resolved before ``--vertex`` is required."""
     infix, build, to_json = LOCAL_COMMANDS[args.command]
-    C = _resolve_cog(args, ws)
+    C = ws.cog(_required(args, "cog"))
     vertex = _required(args, "vertex")
     _emit(cio.dumps(to_json(build(C, vertex), id=f"{args.cog}.{infix}.{vertex}")), args.emit)
     return 0
@@ -133,7 +129,7 @@ def _tree_for(args, C) -> tuple[str, ...]:
 
 
 def cmd_pi1(args, ws) -> int:
-    C = _resolve_cog(args, ws)
+    C = ws.cog(_required(args, "cog"))
     _emit(export(pi1_presentation(C, _tree_for(args, C)), args.format), args.emit)
     return 0
 
@@ -142,7 +138,7 @@ def cmd_abel(args, ws) -> int:
     if args.pres:
         P = cio.presentation_from_json(cio.read_document(args.pres))
     else:
-        C = _resolve_cog(args, ws)
+        C = ws.cog(_required(args, "cog"))
         P = pi1_presentation(C, _tree_for(args, C))
     _emit(json.dumps(abelianization(P)) + "\n", args.emit)
     return 0
