@@ -30,7 +30,7 @@ The document families hash each emitted document by its SHA-256.  The
 digest is taken over the canonical JSON of the payload, as every digest here,
 not over the ``io.dumps`` text the CLI writes: that text is the same JSON
 value with the same sorted keys, indented, so either one determines the
-other, and the indenting encoder is ten times slower.
+other, and the indenting encoder is about five times slower.
 - ``corpus_documents``: the ``cog/1`` and ``morphism-to-group/1`` documents
   that ``gen-corpus --count 200`` writes, then the ``cog-morphism/1`` document
   of each entry of ``build_morphism_corpus`` (``MORPHISM_COUNT`` entries, seed
@@ -258,12 +258,14 @@ def corpus_workspace(seed: int) -> tuple[list[str], io.Workspace]:
         cog_id = f"corpus{k:03d}"
         cog_ids.append(cog_id)
         documents[cog_id] = io.cog_to_json(entry.complex, id=cog_id)
-        documents[f"{cog_id}.ambient"] = io.morphism_to_group_to_json(entry.to_ambient, id=f"{cog_id}.ambient")
+        ambient = f"{cog_id}.ambient"
+        documents[ambient] = io.morphism_to_group_to_json(entry.to_ambient, id=ambient)
     return cog_ids, io.Workspace(root=Path("."), documents=documents)
 
 
 def local_documents(C, cog_id: str, vertex: str) -> list[dict]:
-    """The documents of ``local-cog``, ``theta``, ``sigma`` and ``local-dev`` on ``--cog cog_id --vertex vertex``."""
+    """The documents that ``local-cog``, ``theta``, ``sigma`` and ``local-dev``
+    write on ``--cog cog_id --vertex vertex``."""
     L = local.build_local_cog(C, vertex)
     return [
         io.cog_to_json(L.cog, id=f"{cog_id}.local.{vertex}"),
@@ -306,7 +308,9 @@ def hashed(families: dict) -> dict[str, str]:
 
 def digests(seed: int = DEFAULT_SEED) -> dict[str, str]:
     return hashed({
-        **group_families(seed), **development_families(development_cases(seed)), **document_families(seed, corpus_workspace(seed)),
+        **group_families(seed),
+        **development_families(development_cases(seed)),
+        **document_families(seed, corpus_workspace(seed)),
     })
 
 

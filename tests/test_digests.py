@@ -25,7 +25,7 @@ if __debug__:
     sys.exit("asserts are live: not running under -O")
 sys.path.insert(0, sys.argv[1])
 import digests
-from cogkit import cli, develop, io
+from cogkit import develop
 devs, mutations = digests.development_cases(digests.DEFAULT_SEED)
 print(json.dumps([develop._action_certified(D) for D in devs + [D for _, D in mutations]]))
 """
