@@ -40,6 +40,17 @@ other, and the indenting encoder is about five times slower.
   ``sigma`` and ``local-dev`` write, with their ids.
 ``immersion_reports`` is the ``ImmersionReport`` and ``check_coset_condition``
 of every Sigma there and of every morphism-corpus entry.
+
+The presentation families run over ``build_corpus(seed, 200)`` too.
+- ``presentations``: the SHA-256 of ``export(P, "json")`` and
+  ``abelianization(P)`` for P the presentation of each complex over
+  ``maximal_tree`` (or the error of a disconnected base), then of each local
+  complex over its star tree;
+- ``local_isomorphisms``: at every center, whether ``scwol_isomorphic`` finds
+  an isomorphism from the Theta development to the local development, and
+  whether ``validate_scwol_morphism`` accepts it (verdicts, not the maps);
+- ``snf``: ``snf_invariants`` on ``SNF_MATRICES`` seeded sparse matrices with
+  unit-heavy rows, repeated and negated rows and non-unit entries.
 """
 
 from __future__ import annotations
@@ -58,14 +69,16 @@ DEFAULT_SEED = 20260811
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from cogkit import corpus, develop, groups, immersions, io, local  # noqa: E402
+from cogkit import corpus, develop, groups, immersions, io, local, presentations  # noqa: E402
 from cogkit.errors import CogkitError  # noqa: E402
-from cogkit.scwols import Morphism, Scwol  # noqa: E402
+from cogkit.scwols import Morphism, Scwol, maximal_tree, scwol_isomorphic, validate_scwol_morphism  # noqa: E402
 
 CLOSURE_SEEDS = 200
 TABLE_MUTATIONS = 25
 CORPUS_SIZE = 200
 MORPHISM_COUNT = 1000
+SNF_MATRICES = 300
+ISO_BUDGET = 10**6  # the acceptance suite's isomorphism budget
 MUTATIONS = (
     "drop_object", "duplicate_object", "retarget_morphism", "redirect_composite",
     "shift_mor_rep", "relabel_projection", "unlifted_base_object", "non_coset_space",
@@ -302,6 +315,55 @@ def document_families(seed: int, workspace: tuple[list[str], io.Workspace]) -> d
     }
 
 
+def presentation_data(P) -> list:
+    export = presentations.export(P, "json")
+    return [hashlib.sha256(export.encode()).hexdigest(), presentations.abelianization(P)]
+
+
+def random_snf_matrix(rng: random.Random) -> tuple[list[dict[int, int]], int]:
+    """Up to 15 sparse rows over up to 12 columns, mostly +-1 entries with some
+    2, -2, 3 and 6, plus copies and negated copies of earlier rows, in a
+    seeded order.  The sizes are those of the sympy cross-check in
+    ``test_presentations.py``."""
+    ncols = rng.randint(1, 12)
+    rows = []
+    for _ in range(rng.randint(0, 15)):
+        cols = rng.sample(range(ncols), rng.randint(1, min(ncols, 5)))
+        rows.append({c: rng.choice((1, -1, 1, -1, 1, -1, 2, -2, 3, 6)) for c in cols})
+    for _ in range(rng.randint(0, 4)):
+        if rows:
+            sign = rng.choice((1, -1))
+            rows.append({c: sign * v for c, v in rng.choice(rows).items()})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def presentation_families(seed: int) -> dict[str, list]:
+    rng = random.Random(seed)
+    whole, local_pres, isos = [], [], []
+    for entry in corpus.build_corpus(seed, CORPUS_SIZE):
+        C = entry.complex
+        try:
+            tree = maximal_tree(C.base)
+        except CogkitError as exc:
+            whole.append([type(exc).__name__, str(exc)])
+        else:
+            whole.append(presentation_data(presentations.pi1_presentation(C, tree)))
+        for gamma in sorted(C.base.objects):
+            L = local.build_local_cog(C, gamma)
+            local_pres.append(presentation_data(presentations.pi1_presentation(L.cog, L.star_tree())))
+            D = develop.build_development(L.cog, local.build_theta(L))
+            LD = develop.build_local_development(C, gamma)
+            iso = scwol_isomorphic(D.scwol, LD.scwol, budget=ISO_BUDGET)
+            isos.append([iso is not None, iso is not None and validate_scwol_morphism(iso).ok])
+    snf = []
+    for _ in range(SNF_MATRICES):
+        rows, ncols = random_snf_matrix(rng)
+        invariants, rank = presentations.snf_invariants(rows, ncols)
+        snf.append([invariants, rank])
+    return {"presentations": whole + local_pres, "local_isomorphisms": isos, "snf": snf}
+
+
 def hashed(families: dict) -> dict[str, str]:
     return {name: digest(data) for name, data in families.items()}
 
@@ -311,6 +373,7 @@ def digests(seed: int = DEFAULT_SEED) -> dict[str, str]:
         **group_families(seed),
         **development_families(development_cases(seed)),
         **document_families(seed, corpus_workspace(seed)),
+        **presentation_families(seed),
     })
 
 

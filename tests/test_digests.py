@@ -68,6 +68,11 @@ def test_document_digests_match_the_golden_file(workspace):
     assert got == _pinned(got)
 
 
+def test_presentation_digests_match_the_golden_file():
+    got = digests.hashed(digests.presentation_families(digests.DEFAULT_SEED))
+    assert got == _pinned(got)
+
+
 def test_hashed_documents_are_what_the_cli_writes(workspace, tmp_path):
     """``gen-corpus`` and the four local commands write, byte for byte, the
     ``io.dumps`` text of the documents that the document families hash."""
