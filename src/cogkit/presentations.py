@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from . import groups
 from .complexes import CogMorphism, ComplexOfGroups, MorphismToGroup
@@ -146,16 +146,12 @@ class PresentationHom:
     obligations: tuple[Word, ...] = ()
 
 
-def evaluate_word(G: FiniteGroup, images: Sequence[int], word: Word) -> int:
-    acc = G.identity
-    for gen, sign in word:
-        x = images[gen] if sign > 0 else G.inv[images[gen]]
-        acc = G.mul(acc, x)
-    return acc
-
-
 def induced_hom_to_group(phi: MorphismToGroup, P: GroupPresentation) -> PresentationHom:
-    """h -> phi_sigma(h), a+ -> phi(a); requires phi(a) = e on tree edges."""
+    """h -> phi_sigma(h), a+ -> phi(a); requires phi(a) = e on tree edges.
+
+    Each relator is evaluated through the rows of ``G.mult``, with the
+    inverse images computed once per generator.
+    """
     G = phi.target
     for a in P.tree:
         if phi.phi_edge[a] != G.identity:
@@ -166,8 +162,13 @@ def induced_hom_to_group(phi: MorphismToGroup, P: GroupPresentation) -> Presenta
             images.append(phi.phi_local[g[1]](g[2]))
         else:
             images.append(phi.phi_edge[g[1]])
+    inverse = [G.inv[x] for x in images]
+    mult, e = G.mult, G.identity
     for word in P.relators:
-        if evaluate_word(G, images, word) != G.identity:
+        acc = e
+        for gen, sign in word:
+            acc = mult[acc][images[gen] if sign > 0 else inverse[gen]]
+        if acc != e:
             raise RelatorNotKilled(f"relator {word} does not map to the identity")
     return PresentationHom(source=P, target=G, element_images=tuple(images))
 
@@ -265,40 +266,111 @@ def abelianization(P: GroupPresentation) -> list[int]:
     """Invariant factors of the abelianized presentation.
 
     Output is the nontrivial torsion coefficients in divisibility order
-    followed by one zero per free rank.
+    followed by one zero per free rank.  Each relator is read as its row of
+    exponent sums, as ``snf_invariants`` reads a row.
     """
-    ncols = len(P.generators)
-    rows = []
-    for w in P.relators:
-        row: dict[int, int] = {}
-        for gen, sign in w:
-            new = row.get(gen, 0) + sign
-            if new:
-                row[gen] = new
-            else:
-                del row[gen]
-        if row:
-            rows.append(row)
-    invariants, rank = snf_invariants(rows, ncols)
+    invariants, rank = _snf(P.relators)
     torsion = [d for d in invariants if d != 1]
-    return torsion + [0] * (ncols - rank)
+    return torsion + [0] * (len(P.generators) - rank)
 
 
 def snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], int]:
     """Invariant factors (with 1s) and the rank of a sparse integer matrix.
 
-    Unit entries are eliminated sparsely first.  The pivot row is a shortest
-    live row holding a ±1 entry, and the pivot is its unit whose column
-    meets the fewest rows: Markowitz cost (Havas-Holt-Rees, "Recognizing
-    badly presented Z-modules", 1993) minimised over the shortest rows.
-    Rows holding a unit wait in buckets by length, and each row that an
-    elimination changes is filed again.  An elimination is a unimodular row
-    operation, then the removal of a row and a column that meet only in the
-    unit; neither changes the invariant factors (the quotients of the
-    determinantal divisors), so the pivot order sets the cost, not the
-    result.  The small remainder goes through the textbook Smith reduction.
+    Three stages, each of which leaves the invariant factors (the quotients
+    of the determinantal divisors) unchanged; the rows are not modified.
+
+    1. One streaming pass clears the cheap unit columns (Havas-Holt-Rees,
+       "Recognizing badly presented Z-modules", 1993).  It reads the rows
+       in order and substitutes into each the stored definitions of the
+       columns eliminated so far.  If the result has a ±1 entry in a column
+       c that no kept row and no stored definition contains, c's definition
+       (minus the unit times the rest of the row) is stored, the row is
+       dropped, and it counts one invariant factor 1 and one rank.
+       Otherwise the row is kept, unless it is empty or equal to a kept row
+       up to sign.  Each stored pivot is an ordinary unit pivot at (row r,
+       column c), where c lies in no earlier kept row: substituting c's
+       definition into a later row is the unimodular row operation that
+       clears c there, and then r and c meet only in the unit, so deleting
+       both changes no invariant factor.  Dropping empty rows and rows
+       equal to a kept row up to sign leaves the row lattice unchanged.
+       The guard that c lies in no stored definition keeps every
+       definition one level deep: a definition only holds columns that are
+       never eliminated, so one substitution clears every eliminated column
+       from a row.  Without that guard the invariants come out wrong.
+    2. The kept rows go through sparse unit elimination.  The pivot row is
+       a shortest live row holding a ±1 entry, and the pivot is its unit
+       whose column meets the fewest rows: Markowitz cost minimised over
+       the shortest rows.  Rows holding a unit wait in buckets by length,
+       and each row that an elimination changes is filed again.  An
+       elimination is a unimodular row operation, then the removal of a row
+       and a column that meet only in the unit, so the pivot order sets the
+       cost, not the result.
+    3. The small remainder goes through the textbook Smith reduction.
+
+    Repeating stage 1 until no unit is left, in place of stage 2, is far
+    slower: substitution fills the rows in.
     """
-    live = {r: dict(row) for r, row in enumerate(rows) if row}
+    return _snf(row.items() for row in rows)
+
+
+def _snf(rows: Iterable[Iterable[tuple[int, int]]]) -> tuple[list[int], int]:
+    """``snf_invariants`` on rows given as (column, value) pairs; a column
+    may repeat in a row, and its values add up."""
+    kept, units = _unit_pass(rows)
+    invariants, rank = _markowitz_snf(dict(enumerate(kept)))
+    return [1] * units + invariants, units + rank
+
+
+def _unit_pass(
+    rows: Iterable[Iterable[tuple[int, int]]]
+) -> tuple[list[dict[int, int]], int]:
+    """Stage 1 of ``snf_invariants``: the kept rows, and the number of unit
+    columns eliminated."""
+    defs: dict[int, dict[int, int]] = {}
+    held: set[int] = set()  # the columns of kept rows and of definitions
+    kept: list[dict[int, int]] = []
+    seen: set[frozenset] = set()
+    for pairs in rows:
+        row: dict[int, int] = {}
+        for c, v in pairs:
+            d = defs.get(c)
+            if d is None:
+                new = row.get(c, 0) + v
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+                continue
+            for k, w in d.items():
+                new = row.get(k, 0) + v * w
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
+        if not row:
+            continue
+        # the last unit, v[xs] in a Cayley relator v[x] v[s] v[xs]^-1: it
+        # leaves fewer nonzeros in the kept rows than the first unit does
+        for c, v in reversed(row.items()):
+            if (v == 1 or v == -1) and c not in held:
+                del row[c]
+                defs[c] = {k: -v * w for k, w in row.items()}
+                held.update(row)
+                break
+        else:
+            key = frozenset(row.items())
+            if key not in seen:
+                seen.add(key)
+                seen.add(frozenset([(k, -v) for k, v in row.items()]))
+                kept.append(row)
+                held.update(row)
+    return kept, len(defs)
+
+
+def _markowitz_snf(live: dict[int, dict[int, int]]) -> tuple[list[int], int]:
+    """Stages 2 and 3 of ``snf_invariants`` on nonempty rows keyed by row
+    number, which it consumes: sorted invariant factors and the rank."""
     col_rows: dict[int, set[int]] = {}
     for r, row in live.items():
         for c in row:

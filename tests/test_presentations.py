@@ -34,8 +34,9 @@ from cogkit.presentations import (
     pi1_presentation,
     simplify,
     snf_invariants,
+    _unit_pass,
 )
-from cogkit.scwols import Scwol, maximal_tree
+from cogkit.scwols import Scwol, maximal_tree, scwol_from_simplicial_complex
 
 
 def trivial_cog(S):
@@ -186,6 +187,58 @@ def test_snf_divisibility_chain():
         nontrivial = [d for d in inv if d > 1]
         for a, b in zip(nontrivial, nontrivial[1:]):
             assert b % a == 0, (rows, inv)
+
+
+# Each case of the streaming unit pass in front of the Markowitz stage: the
+# rows, the rows it keeps, and the number of unit columns it eliminates.
+UNIT_PASS_CASES = {
+    # column 1 holds a unit, but the kept row before it holds column 1 too
+    "unit_in_a_kept_column": ([{0: 2, 1: 3}, {1: 1}], [{0: 2, 1: 3}, {1: 1}], 0),
+    # column 0 := -2 * column 1; column 1 then holds units, but is in that definition
+    "unit_in_a_defined_column": (
+        [{0: 1, 1: 2}, {1: 1, 2: 3}, {0: 1, 2: 1}], [{1: 1, 2: 3}, {1: -2, 2: 1}], 1,
+    ),
+    "duplicate_and_negated_rows": (
+        [{0: 2, 1: 4}, {1: 4, 0: 2}, {0: -2, 1: -4}, {1: 6}], [{0: 2, 1: 4}, {1: 6}], 0,
+    ),
+    # column 1 := column 0, which empties the second row
+    "row_emptied_by_substitution": ([{0: 1, 1: -1}, {0: -1, 1: 1}, {0: 3}], [{0: 3}], 1),
+    # column 1 := -column 0 turns the second row into column 2's definition
+    "definition_feeds_a_pivot_row": ([{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 2}], [{0: 2}], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIT_PASS_CASES))
+def test_unit_pass_cases_against_sympy(case):
+    rows, kept, units = UNIT_PASS_CASES[case]
+    copies = [dict(row) for row in rows]
+    assert _unit_pass(row.items() for row in rows) == (kept, units)
+    got_inv, got_rank = snf_invariants(rows, 3)
+    assert rows == copies  # the input rows are not modified
+    assert (got_inv, got_rank) == snf_oracle(rows, 3)
+
+
+def test_cone_over_c8_in_s4_abelianizes_to_z2_squared():
+    """The cone over an 8-cycle with S4 on the vertices and rim edges, A4 on
+    the spokes and triangles, inclusions and trivial twists.  The base is
+    contractible, so pi1 is the colimit of the subgroups and H1 is the sum
+    of the G_o^ab modulo x = psi_a(x).  A4^ab = Z/3 maps to 0 in S4^ab = Z/2,
+    so the spokes and triangles add nothing and cut the apex off the rim:
+    one Z/2 for the rim, joined along its edges, and one for the apex."""
+    s4 = groups.symmetric_group(4)
+    a4, incl = groups.subgroup_group(s4, groups.commutator_subgroup(s4))
+    base = scwol_from_simplicial_complex([["a", f"r{i}", f"r{(i + 1) % 8}"] for i in range(8)])
+    # a spoke or triangle is a simplex through the apex a other than a itself
+    group_of = {o: a4 if "." in o and "a" in o.split(".") else s4 for o in base.objects}
+    psi = {
+        m.id: incl if group_of[m.i] is not group_of[m.t] else groups.identity_hom(group_of[m.t])
+        for m in base.morphisms
+    }
+    twist = {pair: group_of[base.tgt(pair[0])].identity for pair in base.comp}
+    C = ComplexOfGroups(base=base, group_of=group_of, psi=psi, twist=twist, label="CONE8")
+    P = pi1_presentation(C, maximal_tree(base))
+    assert len(P.generators) == 680
+    assert abelianization(P) == [2, 2]
 
 
 # -- presentations ---------------------------------------------------------------
