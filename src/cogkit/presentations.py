@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 from . import groups
@@ -306,7 +307,31 @@ def snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], i
        elimination is a unimodular row operation, then the removal of a row
        and a column that meet only in the unit, so the pivot order sets the
        cost, not the result.
-    3. The small remainder goes through the textbook Smith reduction.
+    3. The small dense remainder M, of rank r, is reduced modulo D, a
+       nonzero r x r minor of M that fraction-free elimination (Bareiss,
+       1968) finds, so no entry grows past D (Domich, Kannan and Trotter,
+       1987).  Each pivot is a nonzero entry.  Row operations clear its
+       column: an exact multiple of the pivot row where the pivot divides
+       the entry, and otherwise a Bezout 2 x 2 step, which is unimodular
+       and lowers the pivot to gcd(pivot, entry).  The same step on the
+       transpose clears its row, and the two alternate until both are
+       clear; the pivot only falls, so this ends.  Pivots are taken until
+       the rest is 0 mod D; the gcd of each with D, padded with D to r
+       entries, goes through the gcd/lcm chain diag(x, y) ~ diag(gcd, lcm),
+       and the first r entries are returned.
+       Why this is exact: every nonzero invariant factor s_i divides d_r,
+       the gcd of the r x r minors, which divides D.  Reduction mod D
+       commutes with unimodular operations and with transposition, so
+       over Z/DZ the matrix is equivalent to M, whose Smith form there is
+       s_1, ..., s_r, D, ..., D (reading 0 as D).  Over Z/DZ, x is
+       associate to gcd(x, D), so the pivots give a second diagonal form,
+       and the chain puts it in Smith form.  That form is unique: its
+       entries, all divisors of D, are the invariant factors of the
+       finite abelian group that the matrix presents over Z/DZ.  So the
+       chain is s_1, ..., s_r followed by D.  Stopping after r pivots is
+       not enough: a pivot can be 0 modulo one prime power of D while the
+       rest is not.  [[6, 4], [9, 6]] has r = 1 and D = 6; mod 6 it is
+       [[0, 4], [3, 0]], and gcd(4, 6) = 2 alone would read s_1 = 2.
 
     Repeating stage 1 until it clears no unit, in place of stage 2, gives
     the same invariants but measured slower on every presentation set of
@@ -371,7 +396,8 @@ def _unit_pass(
 
 def _markowitz_snf(live: dict[int, dict[int, int]]) -> tuple[list[int], int]:
     """Stages 2 and 3 of ``snf_invariants`` on nonempty rows keyed by row
-    number, which it consumes: sorted invariant factors and the rank."""
+    number, which it consumes: the invariant factors as a divisibility
+    chain, and the rank."""
     col_rows: dict[int, set[int]] = {}
     for r, row in live.items():
         for c in row:
@@ -425,68 +451,66 @@ def _markowitz_snf(live: dict[int, dict[int, int]]) -> tuple[list[int], int]:
     for k, r in enumerate(sorted(live)):
         for c, val in live[r].items():
             dense[k][pos[c]] = val
-    diag = _dense_snf(dense)
-    invariants = [1] * rank_units + [abs(d) for d in diag if d]
-    return sorted(invariants), rank_units + sum(1 for d in diag if d)
+    chain = _modular_snf(dense)
+    return [1] * rank_units + chain, rank_units + len(chain)
 
 
-def _dense_snf(mat: list[list[int]]) -> list[int]:
-    """Textbook Smith reduction; returns the diagonal with divisibility chain."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    t = 0
-    diag = []
-    while t < min(m, n):
-        # smallest nonzero entry in the working submatrix
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(mat[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
+def _modular_snf(mat: list[list[int]]) -> list[int]:
+    """Stage 3 of ``snf_invariants`` on a dense matrix, which it leaves
+    unchanged: the nonzero invariant factors as a divisibility chain."""
+    if len(mat) > len(mat[0]):  # the transpose has the same invariants and fewer rows
+        mat = [list(col) for col in zip(*mat)]
+    m, n = len(mat), len(mat[0])
+    # Bareiss: rank r and a nonzero r x r minor D (each division is exact)
+    a = list(mat)
+    r, det = 0, 1
+    for j in range(n):
+        if r == m:
             break
-        _, bi, bj = best
-        mat[t], mat[bi] = mat[bi], mat[t]
-        for row in mat:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if mat[i][t]:
-                    q = mat[i][t] // mat[t][t]
-                    for j in range(t, n):
-                        mat[i][j] -= q * mat[t][j]
-                    if mat[i][t]:
-                        mat[t], mat[i] = mat[i], mat[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if mat[t][j]:
-                    q = mat[t][j] // mat[t][t]
-                    for row in mat:
-                        row[j] -= q * row[t]
-                    if mat[t][j]:
-                        for row in mat:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility fixup: pivot must divide every remaining entry
-        fix = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if mat[i][j] % mat[t][t]:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            for j in range(t, n):
-                mat[t][j] += mat[fix][j]
+        p = next((i for i in range(r, m) if a[i][j]), None)
+        if p is None:
             continue
-        diag.append(abs(mat[t][t]))
-        t += 1
-    return diag
+        a[r], a[p] = a[p], a[r]
+        piv = a[r][j]
+        for i in range(r + 1, m):
+            q = a[i][j]
+            a[i] = [(piv * x - q * y) // det for x, y in zip(a[i], a[r])]
+        det, r = piv, r + 1
+    D = abs(det)
+    a = [[x % D for x in row] for row in mat]
+    diag = []
+    for t in range(min(m, n)):
+        at = next(((i, j) for i in range(t, len(a)) for j in range(t, len(a[0])) if a[i][j]), None)
+        if at is None:
+            break
+        i, j = at
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        while True:  # clear column t by row operations, then row t on the transpose
+            top = a[t]
+            for i in [i for i in range(t + 1, len(a)) if a[i][t]]:
+                b, p = a[i][t], top[t]
+                if b % p == 0:
+                    a[i] = [(x - b // p * y) % D for x, y in zip(a[i], top)]
+                else:  # Bezout: unimodular, and the pivot falls to gcd(p, b) < p
+                    g = gcd(p, b)
+                    s = pow(p // g, -1, b // g)  # s * p = g mod b
+                    u = (g - s * p) // b
+                    a[i], a[t] = (
+                        [(p // g * x - b // g * y) % D for x, y in zip(a[i], top)],
+                        [(s * y + u * x) % D for x, y in zip(a[i], top)],
+                    )
+                    top = a[t]
+            if not any(top[t + 1:]):
+                break
+            a = [list(col) for col in zip(*a)]
+        diag.append(gcd(top[t], D))
+    diag += [D] * (r - len(diag))
+    for i in range(r):  # diag(x, y) ~ diag(gcd, lcm)
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return diag[:r]
 
 
 # -- exports --------------------------------------------------------------------

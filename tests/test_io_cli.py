@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cogkit
 from cogkit import cli, groups, io as cio
 from cogkit.cli import main
 from cogkit.corpus import collapse_morphism
@@ -143,6 +147,52 @@ def test_cli_abel_and_pi1(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "[6]"
     assert run_cli("export-pres", "--pres", pres, "--format", "cas", "--dir", FIXTURES) == 0
     assert "FreeGroup" in capsys.readouterr().out
+
+
+# 12 sparse rows over 13 columns, drawn like the SNF probe matrices of
+# test_presentations.py, on which the textbook Smith reduction that the
+# modular stage replaced ran past 30 s
+HANGING_MATRIX = [
+    {8: 2}, {12: 1, 10: 1, 2: -2, 0: 1}, {10: -1, 2: -2}, {10: -1, 9: 3, 8: 6, 0: 2},
+    {10: 3, 5: 6, 6: 1, 7: -2}, {0: 6, 5: 1, 9: -2, 4: -2, 8: 2}, {11: 3, 7: 3, 4: 3, 10: 1, 9: -2},
+    {4: 3, 1: 6, 10: 2, 6: 6, 5: -1}, {6: -2, 9: -1, 12: -2, 0: -1}, {0: -2, 12: -1, 9: 1, 10: 2},
+    {10: -1, 12: -2, 1: 6, 3: 2, 7: -2}, {5: 2, 12: 2},
+]
+
+
+def test_cli_abel_pres_on_a_hanging_smith_matrix(tmp_path):
+    """``abel --pres`` on one generator ["e", ...] per column of
+    HANGING_MATRIX and one relator per row, which writes each entry v as |v|
+    letters of sign(v).  It runs in a subprocess with a timeout and prints
+    sympy's invariant factors."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    ncols = 13
+    doc = {
+        "schema": "presentation/1",
+        "label": "probe",
+        "generators": [["e", f"c{k}"] for k in range(ncols)],
+        "relators": [
+            [[c, 1 if v > 0 else -1] for c, v in row.items() for _ in range(abs(v))] for row in HANGING_MATRIX
+        ],
+        "tree": [],
+    }
+    pres = tmp_path / "probe.json"
+    pres.write_text(cio.dumps(doc))
+    snf = smith_normal_form(Matrix([[row.get(c, 0) for c in range(ncols)] for row in HANGING_MATRIX]))
+    diag = [abs(snf[k, k]) for k in range(min(snf.shape))]
+    want = sorted(d for d in diag if d > 1) + [0] * (ncols - sum(1 for d in diag if d))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cogkit.cli", "abel", "--pres", str(pres)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(cogkit.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == want == [2, 2, 4, 12, 0]
 
 
 def test_cli_develop_sizes(tmp_path):

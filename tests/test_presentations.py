@@ -7,12 +7,17 @@ against hand values on the fixture presentations.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cogkit
 from cogkit import groups, io as cio
 from cogkit.complexes import ComplexOfGroups
 from cogkit.errors import (
@@ -166,12 +171,63 @@ def test_snf_known_matrices():
     # diag(2, 6) is already in normal form
     inv, rank = snf_invariants([{0: 2}, {1: 6}], 2)
     assert inv == [2, 6] and rank == 2
-    # [[2, 0], [0, 3]] has invariants 1, 6
-    inv, rank = snf_invariants([{0: 2}, {1: 3}], 2)
-    assert sorted(inv) == [1, 6] or sorted(inv) == [1, 6]
-    assert rank == 2
+    # [[2, 0], [0, 3]] has invariants 1, 6: the gcd/lcm chain
+    assert snf_invariants([{0: 2}, {1: 3}], 2) == ([1, 6], 2)
+    # [6] is D itself, so its pivot is 0 mod D and reads as D
+    assert snf_invariants([{0: 6}], 1) == ([6], 1)
+    # rank 1 and D = 6: mod 6 it is [[0, 4], [3, 0]], so the first pivot, 4,
+    # leaves 3, and only the chain of gcd(4, 6) and gcd(3, 6) gives 1
+    assert snf_invariants([{0: 6, 1: 4}, {0: 9, 1: 6}], 2) == ([1], 1)
     # zero matrix
     assert snf_invariants([], 3) == ([], 0)
+
+
+def probe_matrix(rng: random.Random) -> tuple[list[dict[int, int]], int]:
+    """Up to 30 sparse rows over up to 30 columns, each with 1-5 entries
+    from +-1, +-2, 3 and 6."""
+    nrows, ncols = rng.randint(1, 30), rng.randint(1, 30)
+    rows = []
+    for _ in range(nrows):
+        cols = rng.sample(range(ncols), rng.randint(1, min(ncols, 5)))
+        rows.append({c: rng.choice((1, -1, 2, -2, 3, 6)) for c in cols})
+    return rows, ncols
+
+
+# reads [[rows as (column, value) pairs], ncols] cases from stdin and prints,
+# for each, the invariants, the rank and the seconds the call took
+PROBE_SCRIPT = """\
+import json, sys, time
+from cogkit.presentations import snf_invariants
+out = []
+for rows, ncols in json.load(sys.stdin):
+    start = time.perf_counter()
+    inv, rank = snf_invariants([dict(row) for row in rows], ncols)
+    out.append([inv, rank, time.perf_counter() - start])
+print(json.dumps(out))
+"""
+
+
+def test_snf_probe_matrices_against_sympy():
+    """Matrices past the corpus shapes, whose dense remainders are up to 30
+    wide.  The textbook Smith reduction that stage 3 replaced let its
+    entries grow without bound on 11 of these 150 (matrices 1, 9, 14, 21,
+    39, 45, 71, 79, 97, 104 and 146 each ran past 1 s), so they run in a
+    subprocess with a timeout."""
+    rng = random.Random(1)
+    cases = [probe_matrix(rng) for _ in range(150)]
+    payload = json.dumps([[[list(row.items()) for row in rows], ncols] for rows, ncols in cases])
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE_SCRIPT],
+        input=payload,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cogkit.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    for (rows, ncols), (inv, rank, seconds) in zip(cases, json.loads(proc.stdout)):
+        assert (inv, rank) == snf_oracle(rows, ncols), rows
+        assert seconds < 1.0, rows
 
 
 def test_snf_divisibility_chain():
