@@ -96,6 +96,11 @@ class Scwol:
 def validate_scwol(S: Scwol) -> ValidationReport:
     """Check the four scwol axioms; each failure names its first witness."""
     failures: list[Failure] = []
+    objects_seen = set()
+    for o in S.objects:
+        if o in objects_seen:
+            failures.append(Failure("DuplicateObjectId", (o,), f"object id {o!r} repeated"))
+        objects_seen.add(o)
     ids_seen = set()
     for m in S.morphisms:
         if m.id in ids_seen:

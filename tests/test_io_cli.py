@@ -480,6 +480,18 @@ def test_cli_duplicate_document_ids_exit_2(tmp_path, capsys):
     assert str(ws / "seg23.json") in err and str(ws / "seg23-edited.json") in err
 
 
+def test_cli_repeated_object_id_is_invalid(tmp_path, capsys):
+    """A scwol that lists one object twice fails validation and its loaders exit 2."""
+    doc = {"schema": "scwol/1", "id": "twice", "objects": ["a", "a"], "morphisms": [], "comp": []}
+    path = tmp_path / "twice.json"
+    path.write_text(cio.dumps(doc))
+    assert run_cli("validate", path, "--dir", tmp_path) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("INVALID") and "object id 'a' repeated" in out
+    assert run_cli("realize", "--dir", tmp_path, "--scwol", "twice") == 2
+    assert "object id 'a' repeated" in capsys.readouterr().err
+
+
 def test_cli_commands_that_look_nothing_up_ignore_foreign_json(tmp_path, capsys):
     """A directory may hold JSON that is not a cogkit document, such as package.json."""
     (tmp_path / "package.json").write_text('{"name": "site", "version": "1.0.0"}\n')

@@ -87,6 +87,9 @@ def test_validation_failures_named():
     rep = validate_scwol(wrong)
     assert rep.first("CompositeSourceTargetWrong") is not None
 
+    twice = Scwol(["a", "b", "a"], [Morphism("f", "a", "b")], {})
+    assert validate_scwol(twice).first("DuplicateObjectId").witness == ("a",)
+
 
 def test_nonassociative_composite_detected():
     # chain w > x > y > z with one composite redirected
