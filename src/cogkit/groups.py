@@ -159,33 +159,33 @@ def from_permutation_generators(
     ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
-    frontier = [ident]
+    # right[k][x]: index of x * gens[k], filled as the BFS takes each x in index order
+    right: list[list[int]] = [[] for _ in checked]
+    tree: list[tuple[int, int]] = []  # (parent x, k) of each element x * gens[k] after the identity
+    frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in checked:
-                y = _compose_perms(x, g)
+            for k, g in enumerate(checked):
+                y = _compose_perms(elems[x], g)
                 if y not in index:
                     if len(elems) >= cap:
                         raise ClosureTooLarge(f"closure exceeds cap {cap}")
                     index[y] = len(elems)
                     elems.append(y)
-                    nxt.append(y)
+                    nxt.append(index[y])
+                    tree.append((x, k))
+                right[k].append(index[y])
         frontier = nxt
-    order = len(elems)
-    mult = tuple(
-        tuple(index[_compose_perms(elems[x], elems[y])] for y in range(order))
-        for x in range(order)
+    # column y = x * g of the table is column x mapped through right[g]:
+    # z * y = (z * x) * g, so no entry composes two permutations
+    cols = [range(len(elems))]
+    for x, k in tree:
+        cols.append(tuple(map(right[k].__getitem__, cols[x])))
+    mult = tuple(zip(*cols))
+    return FiniteGroup(
+        order=len(elems), mult=mult, identity=0, inv=tuple(row.index(0) for row in mult), label=label
     )
-    inv = tuple(index[tuple(_invert_perm(elems[x]))] for x in range(order))
-    return FiniteGroup(order=order, mult=mult, identity=0, inv=inv, label=label)
-
-
-def _invert_perm(p: tuple[int, ...]) -> list[int]:
-    q = [0] * len(p)
-    for i, v in enumerate(p):
-        q[v] = i
-    return q
 
 
 # -- standard groups -------------------------------------------------------

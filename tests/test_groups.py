@@ -256,6 +256,47 @@ def test_perm_gens_identity_first_and_stable():
     assert G.mult == H.mult
 
 
+def bfs_elements(degree, gens):
+    """The closure in breadth-first discovery order: x * g for each x in
+    order, then each g in order."""
+    elems = [tuple(range(degree))]
+    for x in elems:
+        for g in gens:
+            y = perm_compose(x, tuple(g))
+            if y not in elems:
+                elems.append(y)
+    return elems
+
+
+@pytest.mark.parametrize(
+    "degree, gens",
+    [
+        (4, [(1, 0, 2, 3), (1, 2, 3, 0)]),  # S4
+        (5, [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)]),  # D5
+        (3, [(0, 1, 2), (1, 0, 2), (1, 0, 2), (1, 2, 0)]),  # the identity and a repeat among the gens
+        (8, [(1, 2, 3, 0, 5, 6, 7, 4), (4, 5, 6, 7, 0, 1, 2, 3)]),  # C4 x C2
+    ],
+)
+def test_perm_gens_table_is_the_composition_of_its_elements(degree, gens):
+    """Entry (x, y) is the index of elems[x] after elems[y], and inv[x] the
+    index of the inverse permutation."""
+    elems = bfs_elements(degree, gens)
+    index = {p: k for k, p in enumerate(elems)}
+    G = groups.from_permutation_generators(degree, gens)
+    assert G.mult == tuple(tuple(index[perm_compose(x, y)] for y in elems) for x in elems)
+    assert G.inv == tuple(index[tuple(sorted(range(degree), key=x.__getitem__))] for x in elems)
+
+
+def test_perm_gens_long_cycle():
+    """Element k of the closure of one n-cycle is its k-th power, so the
+    table is addition mod n; the table is read along the BFS tree, so a
+    long cycle composes n permutations, not n^2."""
+    n = 600
+    G = groups.from_permutation_generators(n, [tuple(range(1, n)) + (0,)])
+    assert G.mult == tuple(tuple((x + y) % n for y in range(n)) for x in range(n))
+    assert G.inv == tuple(-x % n for x in range(n))
+
+
 def test_perm_gens_errors():
     with pytest.raises(NotPermutation):
         groups.from_permutation_generators(3, [(0, 0, 1)])
