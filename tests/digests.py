@@ -14,8 +14,11 @@ The group families run over every catalog group and S5:
 - ``subgroup_closure`` on 200 seeded seed lists of 0-4 elements per group;
 - ``cosets``: subgroup, reps and index_of of the space of every subgroup;
 - ``from_cayley_table``: the verdict and message on 25 seeded mutations of each
-  catalog table of order > 1 (S5 is left out: a rejected table is named by an
-  O(n^3) scan).
+  table of order > 1 (``mutated_table``);
+- ``make_hom``: the verdict and message on the identity hom and on every
+  subgroup inclusion of each group, as given and with ``HOM_MUTATIONS`` seeded
+  mutations of the image (``mutated_image``), drawn from a second generator
+  on the same seed.
 ``NotASubgroup`` messages are not hashed.
 
 The development families run over ``build_corpus(seed, 200)``: every
@@ -75,6 +78,7 @@ from cogkit.scwols import Morphism, Scwol, maximal_tree, scwol_isomorphic, valid
 
 CLOSURE_SEEDS = 200
 TABLE_MUTATIONS = 25
+HOM_MUTATIONS = 4
 CORPUS_SIZE = 200
 MORPHISM_COUNT = 1000
 SNF_MATRICES = 300
@@ -111,11 +115,47 @@ def table_verdict(table: list[list[int]], identity: int) -> list:
     return ["ok", list(G.inv)]
 
 
+def mutated_image(f: groups.GroupHom, rng: random.Random) -> list[int]:
+    """f's image with one value off the source identity changed to another
+    target element, or two such values swapped, as ``mutated_table`` mutates a
+    table; the source has order > 1, and a swap needs order > 2."""
+    rest = [x for x in f.source.elements() if x != f.source.identity]
+    image = list(f.image)
+    if len(rest) > 1 and rng.random() < 0.5:
+        x1, x2 = rng.sample(rest, 2)
+        image[x1], image[x2] = image[x2], image[x1]
+    else:
+        x1 = rng.choice(rest)
+        image[x1] = rng.choice([v for v in f.target.elements() if v != image[x1]])
+    return image
+
+
+def hom_verdict(source: groups.FiniteGroup, target: groups.FiniteGroup, image: list[int]) -> list:
+    try:
+        groups.make_hom(source, target, image)
+    except CogkitError as exc:
+        return [type(exc).__name__, str(exc)]
+    return ["ok"]
+
+
+def hom_cases(G: groups.FiniteGroup, rng: random.Random) -> list:
+    """The verdicts of ``make_hom`` on G's identity hom and each subgroup
+    inclusion, then on ``HOM_MUTATIONS`` mutations of each with a nontrivial
+    source."""
+    out = []
+    for f in [groups.identity_hom(G)] + [groups.subgroup_group(G, H)[1] for H in corpus.all_subgroups(G)]:
+        images = [list(f.image)]
+        if f.source.order > 1:
+            images += [mutated_image(f, rng) for _ in range(HOM_MUTATIONS)]
+        out.append([[image, hom_verdict(f.source, G, image)] for image in images])
+    return out
+
+
 def group_families(seed: int) -> dict[str, dict]:
-    rng = random.Random(seed)
+    rng, hom_rng = random.Random(seed), random.Random(seed)
     families: dict[str, dict] = {name: {} for name in (
         "all_subgroups", "generating_set", "subgroup_closure", "cosets",
-        "abelian_invariants", "from_cayley_table",
+        "abelian_invariants", "from_cayley_table", "make_hom",
     )}
     for G in corpus.catalog() + [groups.symmetric_group(5)]:
         subs = corpus.all_subgroups(G)
@@ -132,10 +172,11 @@ def group_families(seed: int) -> dict[str, dict]:
             for space in (groups.cosets(G, H) for H in subs)
         ]
         families["abelian_invariants"][G.label] = groups.abelian_invariants(G)
-        if 1 < G.order <= 24:
+        if G.order > 1:
             families["from_cayley_table"][G.label] = [
                 table_verdict(mutated_table(G, rng), G.identity) for _ in range(TABLE_MUTATIONS)
             ]
+        families["make_hom"][G.label] = hom_cases(G, hom_rng)
     return families
 
 
