@@ -8,6 +8,8 @@ shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -84,10 +86,17 @@ def from_cayley_table(table: Sequence[Sequence[int]], identity: int, label: str 
         (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
 
     and the identity passes, so every element of the magma that S and the
-    identity generate passes, which is the whole table.  Only when the test
-    fails are the triples scanned in lexicographic order, so the error names
-    the first failing one.  Once the table is associative a two-sided
-    inverse is unique, so the first y with x y = e is the only candidate.
+    identity generate passes, which is the whole table.
+
+    Every check compares whole rows in one C-level call: for each s and x,
+    row (x s) of the table against row x read at the entries of row s (one
+    ``itemgetter`` per s), and each row's entries against the set of
+    elements.  Entries are passed through ``int`` only when one of them is
+    not exactly an int.  Only when a check fails is it scanned element by
+    element: out-of-range entries along the row, and for associativity the
+    triples in lexicographic order, so the error names the first failing
+    one.  Once the table is associative a two-sided inverse is unique, so
+    the first y with x y = e is the only candidate.
     """
     order = len(table)
     if order == 0:
@@ -96,18 +105,21 @@ def from_cayley_table(table: Sequence[Sequence[int]], identity: int, label: str 
         raise IndexOutOfRange("table is not square")
     if not 0 <= identity < order:
         raise IndexOutOfRange(f"identity index {identity} out of range for order {order}")
-    mult = tuple(tuple(int(v) for v in row) for row in table)
+    mult = tuple(map(tuple, table))
+    if set(map(type, chain.from_iterable(mult))) != {int}:  # a bool, a float, an int subclass
+        mult = tuple(tuple(map(int, row)) for row in mult)
+    elements = frozenset(range(order))
     for x, row in enumerate(mult):
-        if min(row) < 0 or max(row) >= order:
+        if not elements.issuperset(row):
             y = next(y for y, v in enumerate(row) if not 0 <= v < order)
             raise IndexOutOfRange(f"entry mult[{x}][{y}] = {row[y]} out of range")
     for x in range(order):
         if mult[identity][x] != x or mult[x][identity] != x:
             raise NoIdentity(f"{identity} is not a two-sided identity at element {x}")
     for s in _greedy_generators(mult, identity):
-        row_s = mult[s]
+        pick = itemgetter(*mult[s])  # order > 1 here, so pick returns a tuple
         for row_x in mult:
-            if mult[row_x[s]] != tuple(map(row_x.__getitem__, row_s)):
+            if mult[row_x[s]] != pick(row_x):
                 raise NotAssociative(_first_non_associative(mult))
     inv = []
     for x, row in enumerate(mult):
@@ -236,22 +248,33 @@ class GroupHom:
 
 
 def make_hom(source: FiniteGroup, target: FiniteGroup, image: Sequence[int]) -> GroupHom:
-    """Validate the hom law on all pairs and identity preservation."""
-    img = tuple(int(v) for v in image)
+    """Validate the hom law on all pairs and identity preservation.
+
+    The law is checked a row at a time: for each x, the image of row x of
+    the source table against row image[x] of the target table read at the
+    image of every element, one tuple comparison per x.  Only a failing row
+    is scanned, to name its first failing pair.  Values are range-checked
+    against the set of target elements, and passed through ``int`` only when
+    one of them is not exactly an int.
+    """
+    img = tuple(image)
+    if set(map(type, img)) != {int}:
+        img = tuple(map(int, img))
     if len(img) != source.order:
         raise IndexOutOfRange("image array length differs from source order")
-    for v in img:
-        if not 0 <= v < target.order:
-            raise IndexOutOfRange(f"image value {v} out of range in {target.label}")
+    if not frozenset(range(target.order)).issuperset(img):
+        v = next(v for v in img if not 0 <= v < target.order)
+        raise IndexOutOfRange(f"image value {v} out of range in {target.label}")
     if img[source.identity] != target.identity:
         raise SourceTargetMismatch("identity is not preserved")
-    for x in range(source.order):
-        for y in range(source.order):
-            if img[source.mult[x][y]] != target.mult[img[x]][img[y]]:
-                raise SourceTargetMismatch(
-                    f"hom law fails at pair ({x}, {y}): "
-                    f"image[{x}*{y}] != image[{x}]*image[{y}]"
-                )
+    pick = itemgetter(*img)
+    for x, row in enumerate(source.mult):
+        if itemgetter(*row)(img) != pick(target.mult[img[x]]):
+            y = next(y for y, xy in enumerate(row) if img[xy] != target.mult[img[x]][img[y]])
+            raise SourceTargetMismatch(
+                f"hom law fails at pair ({x}, {y}): "
+                f"image[{x}*{y}] != image[{x}]*image[{y}]"
+            )
     return GroupHom(source=source, target=target, image=img)
 
 

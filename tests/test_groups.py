@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cogkit import corpus, groups
 from cogkit.errors import (
     ClosureTooLarge,
+    CogkitError,
     IndexOutOfRange,
     NoIdentity,
     NoInverse,
@@ -494,6 +495,216 @@ def test_hom_image_subgroup_closed_randomized():
         g = rng.randrange(S4.order)
         f = groups.ad(g, S4)
         assert groups.is_subgroup(S4, groups.hom_image(f))
+
+
+# -- the row-at-a-time validators against the per-element loops they replaced
+
+def reference_from_cayley_table(table, identity):
+    """``from_cayley_table``'s earlier per-element checks: (mult, inv), or the error."""
+    order = len(table)
+    if order == 0:
+        raise NoIdentity("empty table has no identity")
+    if any(len(row) != order for row in table):
+        raise IndexOutOfRange("table is not square")
+    if not 0 <= identity < order:
+        raise IndexOutOfRange(f"identity index {identity} out of range for order {order}")
+    mult = tuple(tuple(int(v) for v in row) for row in table)
+    for x, row in enumerate(mult):
+        if min(row) < 0 or max(row) >= order:
+            y = next(y for y, v in enumerate(row) if not 0 <= v < order)
+            raise IndexOutOfRange(f"entry mult[{x}][{y}] = {row[y]} out of range")
+    for x in range(order):
+        if mult[identity][x] != x or mult[x][identity] != x:
+            raise NoIdentity(f"{identity} is not a two-sided identity at element {x}")
+    for s in groups._greedy_generators(mult, identity):
+        row_s = mult[s]
+        for row_x in mult:
+            if mult[row_x[s]] != tuple(map(row_x.__getitem__, row_s)):
+                raise NotAssociative(groups._first_non_associative(mult))
+    inv = []
+    for x, row in enumerate(mult):
+        y = row.index(identity) if identity in row else None
+        if y is None or mult[y][x] != identity:
+            raise NoInverse(f"element {x} has no two-sided inverse")
+        inv.append(y)
+    return mult, tuple(inv)
+
+
+def reference_make_hom(source, target, image):
+    """``make_hom``'s earlier per-pair checks: the image, or the error."""
+    img = tuple(int(v) for v in image)
+    if len(img) != source.order:
+        raise IndexOutOfRange("image array length differs from source order")
+    for v in img:
+        if not 0 <= v < target.order:
+            raise IndexOutOfRange(f"image value {v} out of range in {target.label}")
+    if img[source.identity] != target.identity:
+        raise SourceTargetMismatch("identity is not preserved")
+    for x in range(source.order):
+        for y in range(source.order):
+            if img[source.mult[x][y]] != target.mult[img[x]][img[y]]:
+                raise SourceTargetMismatch(
+                    f"hom law fails at pair ({x}, {y}): "
+                    f"image[{x}*{y}] != image[{x}]*image[{y}]"
+                )
+    return img
+
+
+def outcome(call, *args):
+    """``call(*args)``, or (error class, message)."""
+    try:
+        return call(*args)
+    except CogkitError as exc:
+        return type(exc), str(exc)
+
+
+def table_outcomes(table, identity):
+    """The new and the reference outcome on one table: (mult, inv) or the error."""
+    def new(t, e):
+        G = groups.from_cayley_table(t, e)
+        return G.mult, G.inv
+
+    return outcome(new, table, identity), outcome(reference_from_cayley_table, table, identity)
+
+
+def hom_outcomes(source, target, image):
+    """The new and the reference outcome on one image: the image or the error."""
+    def new(s, t, i):
+        return groups.make_hom(s, t, i).image
+
+    return outcome(new, source, target, image), outcome(reference_make_hom, source, target, image)
+
+
+class Int(int):
+    """An int subclass, which both validators coerce to int."""
+
+
+def perm_table(perms):
+    """The table of a list of permutations under composition, and its identity."""
+    index = {p: k for k, p in enumerate(perms)}
+    return [[index[perm_compose(p, q)] for q in perms] for p in perms], index[tuple(range(len(perms[0])))]
+
+
+def s4xc2_and_s5_tables():
+    s4xc2 = [p + q for q in ((4, 5), (5, 4)) for p in itertools.permutations(range(4))]
+    return [perm_table(s4xc2), perm_table(list(itertools.permutations(range(5))))]
+
+
+def corrupted_table(table, identity, rng):
+    """The table with one entry changed, two swapped, one out of range, or
+    the identity's row broken; the kinds are drawn in turn by the caller."""
+    n = len(table)
+    rest = [x for x in range(n) if x != identity]
+    out = [list(row) for row in table]
+    kind = rng.randrange(4)
+    x1, y1, x2, y2 = (rng.choice(rest) for _ in range(4))
+    if kind == 0:
+        out[x1][y1] = rng.randrange(n)
+    elif kind == 1:
+        out[x1][y1], out[x2][y2] = out[x2][y2], out[x1][y1]
+    elif kind == 2:
+        out[x1][y1] = rng.choice((-1, n, n + 7))
+    else:
+        out[identity][y1] = out[identity][y2]
+    return out
+
+
+def small_and_odd_tables():
+    """Orders 1 and 2, and tables whose entries are not all exactly ints."""
+    S4 = groups.symmetric_group(4)
+    with_floats = [[float(v) if v == 3 else v for v in row] for row in S4.mult]
+    with_subclass = [[Int(v) for v in row] for row in S4.mult]
+    bad_loop = [[True if v == 1 else v for v in row] for row in LOOP5]
+    return [
+        ([[0]], 0), ([[1]], 0), ([[-1]], 0), ([[True]], 0), ([[False]], 0), ([[0.0]], 0), ([[Int(0)]], 0),
+        ([[0, 1], [1, 0]], 0), ([[1, 0], [0, 1]], 1), ([[0, 1], [1, 1]], 0), ([[1, 0], [0, 1]], 0),
+        ([[0, 1], [1, 2]], 0), ([[0, 0], [0, 0]], 0), ([[False, True], [True, False]], 0),
+        ([[0.0, 1.0], [1.0, 0.0]], 0), ([[0, 1], [1, 2.0]], 0), ([[0, 1.5], [1, 0]], 0),
+        (with_floats, 0), (with_subclass, 0), (bad_loop, 0),
+        ([[3.0 if v == 0 else v for v in row] for row in S4.mult], 0),
+    ]
+
+
+def test_from_cayley_table_agrees_with_the_per_element_checks():
+    """Every catalog table, S5, seeded relabellings of S4 x C2 and S5, seeded
+    corruptions of order-60 and order-120 tables, orders 1 and 2, and entries
+    that are bools, floats or an int subclass: the same groups, all of int
+    entries, or the same error class and message."""
+    S5 = groups.symmetric_group(5)
+    A5, _ = groups.subgroup_group(S5, groups.commutator_subgroup(S5))
+    cases = [([list(row) for row in G.mult], G.identity) for G in corpus.catalog() + [S5]]
+    for (table, identity), seed in itertools.product(s4xc2_and_s5_tables(), (None, 5, 6)):
+        if seed is not None:
+            table, label = relabelled(table, seed)
+            identity = label[identity]
+        cases.append((table, identity))
+    rng = random.Random(60120)
+    for G in (A5, S5):
+        cases += [(corrupted_table(G.mult, G.identity, rng), G.identity) for _ in range(12)]
+    cases += small_and_odd_tables()
+    verdicts = set()
+    for table, identity in cases:
+        new, old = table_outcomes(table, identity)
+        assert new == old
+        if isinstance(new[0], type):
+            verdicts.add(new[0])
+        else:
+            verdicts.add("ok")
+            mult, inv = new
+            assert {type(v) for v in itertools.chain(inv, *mult)} == {int}
+    assert verdicts == {"ok", NotAssociative, NoIdentity, NoInverse, IndexOutOfRange}
+
+
+def mutated_images(f, rng, count):
+    """f's image with one value changed, two swapped, or one out of range, drawn in turn."""
+    out = []
+    for k in range(count):
+        image = list(f.image)
+        x1, x2 = rng.randrange(f.source.order), rng.randrange(f.source.order)
+        if k % 3 == 0:
+            image[x1] = rng.randrange(f.target.order)
+        elif k % 3 == 1:
+            image[x1], image[x2] = image[x2], image[x1]
+        else:
+            image[x1] = rng.choice((-1, f.target.order))
+        out.append(image)
+    return out
+
+
+def test_make_hom_agrees_with_the_per_pair_checks():
+    """The identity hom, every subgroup inclusion and some inner automorphisms
+    of each catalog group and S5, seeded mutations of their images, sources
+    of order 1 and 2, wrong lengths, and values that are bools, floats or an
+    int subclass: the same image, all ints, or the same error class and message."""
+    S3, S4, S5 = (groups.symmetric_group(n) for n in (3, 4, 5))
+    rng = random.Random(1202)
+    cases = []
+    for G in corpus.catalog() + [S5]:
+        homs = [groups.identity_hom(G), groups.ad(G.order - 1, G)]
+        homs += [groups.subgroup_group(G, H)[1] for H in corpus.all_subgroups(G)]
+        for f in homs:
+            cases.append((f.source, G, list(f.image)))
+            cases += [(f.source, G, image) for image in mutated_images(f, rng, 3)]
+    C1, C2 = groups.cyclic_group(1), groups.cyclic_group(2)
+    transposition = next(x for x in S3.elements() if S3.element_order(x) == 2)
+    three_cycle = next(x for x in S3.elements() if S3.element_order(x) == 3)
+    cases += [
+        (C1, S3, [0]), (C1, S3, [1]), (C1, S3, [6]), (C1, S3, [True]), (C1, S3, [False]), (C1, S3, [0.0]),
+        (C1, C1, [Int(0)]), (C1, S3, []), (C1, S3, [0, 0]),
+        (C2, S3, [0, transposition]), (C2, S3, [0, three_cycle]), (C2, S3, [0, 0]), (C2, S3, [transposition, 0]),
+        (C2, C2, [False, True]), (C2, C2, [0.0, 1.0]), (C2, C2, [0, 1.5]), (C2, C2, [Int(0), Int(1)]),
+        (C2, C2, [0, 2.0]), (S4, S4, [float(v) for v in S4.elements()]), (S4, S4, list(S4.elements())[1:]),
+    ]
+    messages = set()
+    for source, target, image in cases:
+        new, old = hom_outcomes(source, target, image)
+        assert new == old
+        if isinstance(new[0], type):
+            messages.add(new[1])
+        else:
+            assert {type(v) for v in new} == {int}
+    for start in ("image array length", "image value", "identity is not preserved", "hom law fails at pair"):
+        assert any(m.startswith(start) for m in messages), start
 
 
 # -- abelian invariants -------------------------------------------------
