@@ -202,6 +202,19 @@ def _field(payload: dict, key: str, kind: str, shape, default=_REQUIRED):
     return value
 
 
+def _pair_map(entries: list, where: str) -> dict:
+    """``{(a, b): v}`` from ``[a, b, v]`` entries; ``ParseError`` naming the
+    first pair that ``where`` lists twice."""
+    out = {(a, b): v for a, b, v in entries}
+    if len(out) != len(entries):
+        seen = set()
+        for a, b, _ in entries:
+            if (a, b) in seen:
+                raise ParseError(f"{where} lists the pair {[a, b]} twice")
+            seen.add((a, b))
+    return out
+
+
 def _read_json(path: Union[str, Path]):
     try:
         text = Path(path).read_text()
@@ -255,11 +268,13 @@ def group_from_json(payload: dict) -> FiniteGroup:
 def scwol_from_json(payload: dict) -> Scwol:
     mors = _field(payload, "morphisms", "scwol", [{"id": str, "i": str, "t": str}])
     comp = _field(payload, "comp", "scwol", [(str, str, str)], [])
+    objects = _field(payload, "objects", "scwol", [str])
+    label = _field(payload, "id", "scwol", str, "Y")
     S = Scwol(
-        _field(payload, "objects", "scwol", [str]),
+        objects,
         [Morphism(m["id"], m["i"], m["t"]) for m in mors],
-        {(a, b): ab for a, b, ab in comp},
-        label=_field(payload, "id", "scwol", str, "Y"),
+        _pair_map(comp, f"scwol {label!r} comp"),
+        label=label,
     )
     rep = validate_scwol(S)
     if not rep.ok:
@@ -375,12 +390,13 @@ class Workspace:
                 raise ParseError(f"cog document lacks psi[{m.id!r}]")
             psi[m.id] = groups.make_hom(group_of[m.i], group_of[m.t], images[m.id])
         twists = _field(payload, "twists", "cog", [(str, str, int)], [])
+        label = _field(payload, "id", "cog", str, "G(Y)")
         C = ComplexOfGroups(
             base=base,
             group_of=group_of,
             psi=psi,
-            twist={(a, b): k for a, b, k in twists},
-            label=_field(payload, "id", "cog", str, "G(Y)"),
+            twist=_pair_map(twists, f"complex {label!r} twists"),
+            label=label,
         )
         rep = validate_cog(C)
         if not rep.ok:

@@ -492,6 +492,42 @@ def test_cli_repeated_object_id_is_invalid(tmp_path, capsys):
     assert "object id 'a' repeated" in capsys.readouterr().err
 
 
+def test_cli_repeated_composable_pair_is_invalid(tmp_path, capsys):
+    """A scwol whose comp lists one pair twice is rejected naming the pair,
+    whichever composite comes last; it used to keep the last one silently."""
+    doc = {
+        "schema": "scwol/1",
+        "id": "twice",
+        "objects": ["x", "y", "z"],
+        "morphisms": [
+            {"id": "a", "i": "y", "t": "x"}, {"id": "b", "i": "z", "t": "y"},
+            {"id": "ab", "i": "z", "t": "x"}, {"id": "c", "i": "z", "t": "x"},
+        ],
+        "comp": [["a", "b", "ab"], ["a", "b", "c"]],
+    }
+    path = tmp_path / "twice.json"
+    path.write_text(cio.dumps(doc))
+    message = "scwol 'twice' comp lists the pair ['a', 'b'] twice"
+    assert run_cli("validate", path, "--dir", tmp_path) == 1
+    assert capsys.readouterr().out == f"INVALID {path}: {message}\n"
+    assert run_cli("realize", "--dir", tmp_path, "--scwol", "twice") == 2
+    assert message in capsys.readouterr().err
+    doc["comp"].pop()
+    path.write_text(cio.dumps(doc))
+    assert run_cli("validate", path, "--dir", tmp_path) == 0
+
+
+def test_cli_repeated_twist_pair_is_invalid(tmp_path, capsys):
+    """tri-z2 with its twist on one pair listed again as 0 after 1 is rejected
+    naming the pair; ``abel`` used to read the last value silently."""
+    ws = workspace_with(tmp_path, "tri-z2", lambda doc: doc["twists"].append(["p.q>p", "p.q.r>p.q", 0]))
+    message = "complex 'tri-z2' twists lists the pair ['p.q>p', 'p.q.r>p.q'] twice"
+    assert run_cli("validate", ws / "tri-z2.json", "--dir", ws) == 1
+    assert capsys.readouterr().out == f"INVALID {ws / 'tri-z2.json'}: {message}\n"
+    assert run_cli("abel", "--dir", ws, "--cog", "tri-z2") == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_commands_that_look_nothing_up_ignore_foreign_json(tmp_path, capsys):
     """A directory may hold JSON that is not a cogkit document, such as package.json."""
     (tmp_path / "package.json").write_text('{"name": "site", "version": "1.0.0"}\n')
