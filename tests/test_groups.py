@@ -622,6 +622,8 @@ def small_and_odd_tables():
         ([[0.0, 1.0], [1.0, 0.0]], 0), ([[0, 1], [1, 2.0]], 0), ([[0, 1.5], [1, 0]], 0),
         (with_floats, 0), (with_subclass, 0), (bad_loop, 0),
         ([[3.0 if v == 0 else v for v in row] for row in S4.mult], 0),
+        # one generator, whose test alone finds the triple (1, 1, 1)
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], 0),
     ]
 
 
