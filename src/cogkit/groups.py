@@ -88,15 +88,16 @@ def from_cayley_table(table: Sequence[Sequence[int]], identity: int, label: str 
     and the identity passes, so every element of the magma that S and the
     identity generate passes, which is the whole table.
 
-    Every check compares whole rows in one C-level call: for each s and x,
-    row (x s) of the table against row x read at the entries of row s (one
-    ``itemgetter`` per s), and each row's entries against the set of
-    elements.  Entries are passed through ``int`` only when one of them is
-    not exactly an int.  Only when a check fails is it scanned element by
-    element: out-of-range entries along the row, and for associativity the
-    triples in lexicographic order, so the error names the first failing
-    one.  Once the table is associative a two-sided inverse is unique, so
-    the first y with x y = e is the only candidate.
+    The range check and Light's test compare whole rows, one C-level call
+    per row: each row's entries against the set of elements, and for each s
+    and x, row (x s) of the table against row x read at the entries of row
+    s (one ``itemgetter`` per s).  Entries are passed through ``int`` only
+    when one of them is not exactly an int.  Only when a check fails is it
+    scanned element by element: the row for its first out-of-range entry,
+    and the triples in lexicographic order for the first that is not
+    associative, so the error names the first failing one.  Once the table
+    is associative a two-sided inverse is unique, so the first y with
+    x y = e is the only candidate.
     """
     order = len(table)
     if order == 0:
