@@ -33,6 +33,10 @@ class ClosureTooLarge(CogkitError):
     pass
 
 
+class RealizationTooLarge(CogkitError):
+    pass
+
+
 class IndexOutOfRange(CogkitError):
     pass
 

@@ -224,6 +224,8 @@ def _read_json(path: Union[str, Path]):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long
+        raise ParseError(f"{path}: {exc}")
 
 
 def read_document(path: Union[str, Path]) -> dict:

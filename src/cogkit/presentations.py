@@ -275,7 +275,7 @@ def abelianization(P: GroupPresentation) -> list[int]:
     return torsion + [0] * (len(P.generators) - rank)
 
 
-def snf_invariants(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], int]:
+def snf_invariants(rows: list[dict[int, int]]) -> tuple[list[int], int]:
     """Invariant factors (with 1s) and the rank of a sparse integer matrix.
 
     Three stages, each of which leaves the invariant factors (the quotients

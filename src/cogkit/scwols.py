@@ -14,7 +14,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import Disconnected, SearchBudgetExceeded, UnknownObject
+from .errors import Disconnected, RealizationTooLarge, SearchBudgetExceeded, UnknownObject
 
 DEFAULT_ISO_BUDGET = 10**6
 
@@ -268,11 +268,7 @@ def identity_scwol_morphism(S: Scwol) -> ScwolMorphism:
 
 # -- links and stars ---------------------------------------------------------
 
-UPPER_EDGE_SEP = "⋅"  # joins (c, d) ids in constructed scwols
-
-
-def _pair_id(a: str, b: str) -> str:
-    return f"{a}{UPPER_EDGE_SEP}{b}"
+UPPER_EDGE_SEP = "⋅"  # joins (c, d) ids in constructed scwols, and chain ids
 
 
 # morphism families whose source is an upper object; they carry its rep
@@ -438,40 +434,44 @@ class PolyhedralComplexExport:
         return tuple(len(level) for level in self.cells)
 
 
+# the most cells `geometric_realization` builds; a larger one is refused first
+MAX_REALIZATION_CELLS = 2**15
+
+
 def geometric_realization(S: Scwol) -> PolyhedralComplexExport:
+    """Objects, then a k-cell per chain (a_1, ..., a_k) of composable
+    morphisms, each level grown from the one below by ``extend_chains``.
+
+    A chain is named by its ids joined by ``UPPER_EDGE_SEP``.  Its faces
+    drop a_1, compose each adjacent pair, then drop a_k (i(a), t(a) for a
+    1-cell); its vertices are i(a_k), t(a_k), ..., t(a_1).  A level that
+    would take the cells past ``MAX_REALIZATION_CELLS`` raises
+    ``RealizationTooLarge`` (CLI exit 2) before it is built.
+    """
+    name = UPPER_EDGE_SEP.join
     levels: list[tuple[str, ...]] = [tuple(sorted(S.objects))]
     faces: dict[str, tuple[str, ...]] = {o: () for o in S.objects}
     vertices_of: dict[str, tuple[str, ...]] = {o: (o,) for o in S.objects}
-    k = 1
-    while True:
-        level = chains(S, k)
-        if not level:
-            break
-        ids = []
-        for chain in level:
-            cid = _chain_id(chain)
-            ids.append(cid)
-            fs = []
-            if k == 1:
-                fs = [S.src(chain[0]), S.tgt(chain[0])]
+    level = chains(S, 1)
+    cells = len(S.objects) + len(level)
+    while level:
+        levels.append(tuple(map(name, level)))
+        for cid, chain in zip(levels[-1], level):
+            if len(chain) == 1:
+                faces[cid] = (S.src(cid), S.tgt(cid))
             else:
-                fs.append(_chain_id(chain[1:]))
-                for j in range(k - 1):
-                    merged = chain[: j] + (S.comp[(chain[j], chain[j + 1])],) + chain[j + 2 :]
-                    fs.append(_chain_id(merged))
-                fs.append(_chain_id(chain[:-1]))
-            faces[cid] = tuple(fs)
-            verts = [S.src(chain[-1])]
-            for a in reversed(chain):
-                verts.append(S.tgt(a))
-            vertices_of[cid] = tuple(verts)
-        levels.append(tuple(ids))
-        k += 1
+                merged = [
+                    chain[:j] + (S.comp[chain[j : j + 2]],) + chain[j + 2 :] for j in range(len(chain) - 1)
+                ]
+                faces[cid] = tuple(map(name, [chain[1:], *merged, chain[:-1]]))
+            vertices_of[cid] = (S.src(chain[-1]), *(S.tgt(a) for a in reversed(chain)))
+        cells += sum(len(S.into(S.src(chain[-1]))) for chain in level)  # the next level's size
+        if cells > MAX_REALIZATION_CELLS:
+            raise RealizationTooLarge(
+                f"the realization of {S.label!r} would pass {MAX_REALIZATION_CELLS} cells"
+            )
+        level = extend_chains(S, level)
     return PolyhedralComplexExport(cells=tuple(levels), faces=faces, vertices_of=vertices_of)
-
-
-def _chain_id(chain: tuple[str, ...]) -> str:
-    return _pair_id(*chain) if len(chain) > 1 else chain[0]
 
 
 # -- spanning trees ----------------------------------------------------------

@@ -399,8 +399,8 @@ def presentation_families(seed: int) -> dict[str, list]:
             isos.append([iso is not None, iso is not None and validate_scwol_morphism(iso).ok])
     snf = []
     for _ in range(SNF_MATRICES):
-        rows, ncols = random_snf_matrix(rng)
-        invariants, rank = presentations.snf_invariants(rows, ncols)
+        rows, _ = random_snf_matrix(rng)
+        invariants, rank = presentations.snf_invariants(rows)
         snf.append([invariants, rank])
     return {"presentations": whole + local_pres, "local_isomorphisms": isos, "snf": snf}
 

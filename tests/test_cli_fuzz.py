@@ -4,7 +4,10 @@ Each example takes one document of the fixture workspace (plus a
 cog-morphism and a presentation built from the fixtures), applies one to
 three mutations (drop a key, change a value's JSON type, replace an int by
 one in -2..50, truncate a list), and runs ``validate`` and the commands
-that read that kind of document, in-process.
+that read that kind of document, in-process.  A top-level value may also
+be nested past the parser's recursion limit or become an integer past its
+digit limit, and a scwol may become a total order whose realization passes
+the cell cap, which this test lowers so that the refusal costs little.
 """
 
 from __future__ import annotations
@@ -15,16 +18,18 @@ import io as _io
 import json
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogkit import io as cio
+from cogkit import scwols
 from cogkit.cli import main
 from cogkit.corpus import collapse_morphism
 from cogkit.presentations import export, pi1_presentation
-from cogkit.scwols import maximal_tree
+from cogkit.scwols import maximal_tree, scwol_from_poset
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -40,6 +45,14 @@ READERS = {
 
 # a value of each JSON type, to stand in for a value of another type
 RETYPED = [None, True, 7, 2.5, "x", [], [0], {}, {"x": 0}]
+
+# JSON text that json.dumps cannot write, put in place of a marker string
+UNWRITABLE = {"nest": "[" * 2000 + "]" * 2000, "huge": "7" * 5000}
+
+# the total order on 8 objects realizes in 255 cells, past this lowered cap
+CELL_CAP = 128
+CHAIN = scwol_from_poset({f"x{j}": {f"x{k}" for k in range(j + 1, 8)} for j in range(8)})
+CHAIN_FIELDS = {k: v for k, v in cio.scwol_to_json(CHAIN).items() if k not in ("schema", "id")}
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +93,10 @@ def _mutate(doc: dict, data) -> None:
         kinds.append("int")
     if isinstance(value, list) and value:
         kinds.append("truncate")
+    if len(path) == 1:
+        kinds += UNWRITABLE
+        if doc.get("schema") == "scwol/1":
+            kinds.append("chain")
     kind = data.draw(st.sampled_from(kinds))
     if kind == "drop":
         del parent[key]
@@ -87,6 +104,10 @@ def _mutate(doc: dict, data) -> None:
         parent[key] = data.draw(st.integers(-2, 50))
     elif kind == "truncate":
         parent[key] = value[: data.draw(st.integers(0, len(value) - 1))]
+    elif kind in UNWRITABLE:
+        parent[key] = f"<{kind}>"
+    elif kind == "chain":
+        doc.update(copy.deepcopy(CHAIN_FIELDS))
     else:
         other = data.draw(st.sampled_from([v for v in RETYPED if type(v) is not type(value)]))
         parent[key] = copy.deepcopy(other)
@@ -107,17 +128,21 @@ def test_mutated_documents_exit_with_a_code(documents, workspace, data):
     vertex = (documents[base] if isinstance(base, str) else base)["objects"][0] if base else None
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(doc, data)
+    text = json.dumps(doc)
+    for kind, value in UNWRITABLE.items():
+        text = text.replace(f'"<{kind}>"', value)
     path = workspace / f"{name}.json"
     original = path.read_bytes() if path.exists() else None
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     runs = [["validate", str(path)]]
     for prefix, commands in READERS.items():
         if schema.startswith(prefix):
             runs += [[a.format(id=name, file=path, vertex=vertex) for a in argv] for argv in commands]
     try:
-        for argv in runs:
-            code = _run(argv + ["--dir", str(workspace)])
-            assert code in (0, 1, 2, 3), (argv, code)
+        with mock.patch.object(scwols, "MAX_REALIZATION_CELLS", CELL_CAP):
+            for argv in runs:
+                code = _run(argv + ["--dir", str(workspace)])
+                assert code in (0, 1, 2, 3), (argv, code)
     finally:
         if original is None:
             path.unlink()

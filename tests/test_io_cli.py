@@ -17,6 +17,7 @@ from cogkit import cli, groups, io as cio
 from cogkit.cli import main
 from cogkit.corpus import collapse_morphism
 from cogkit.errors import ParseError, UnresolvedReference
+from cogkit.scwols import scwol_from_poset, scwol_from_simplicial_complex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -250,6 +251,67 @@ def test_cli_realize_formats(tmp_path, capsys):
     assert run_cli("realize", "--dir", FIXTURES, "--scwol", "delta2") == 0
     payload = json.loads(capsys.readouterr().out)
     assert [len(level) for level in payload["cells"]] == [7, 12, 6]
+
+
+def test_cli_realize_tetrahedron_subdivision(tmp_path):
+    """The first scwol with composable triples: chains of length 3 get ids too."""
+    S = scwol_from_simplicial_complex([["1", "2", "3", "4"]])
+    (tmp_path / "tetra.json").write_text(cio.dumps(cio.scwol_to_json(S, id="tetra")))
+    out = tmp_path / "tetra.realization.json"
+    assert run_cli("realize", "--dir", tmp_path, "--scwol", "tetra", "--emit", out) == 0
+    payload = json.loads(out.read_text())
+    assert [len(level) for level in payload["cells"]] == [15, 50, 60, 24]
+
+
+def test_cli_realize_past_the_cell_cap_exits_2(tmp_path, capsys):
+    """The total order on 18 objects realizes in 2^18 - 1 cells; the cap
+    stops it before the level that passes 2^15."""
+    objects = [f"x{j:02d}" for j in range(18)]
+    S = scwol_from_poset({x: set(objects[j + 1 :]) for j, x in enumerate(objects)})
+    (tmp_path / "chain18.json").write_text(cio.dumps(cio.scwol_to_json(S, id="chain18")))
+    assert run_cli("realize", "--dir", tmp_path, "--scwol", "chain18") == 2
+    assert capsys.readouterr().err == "error: the realization of 'chain18' would pass 32768 cells\n"
+
+
+# a JSON text nested past the parser's recursion limit, and an integer past its digit limit
+UNREADABLE_JSON = {"deep": "[" * 200_000, "long-int": '{"schema": "group/1", "order": ' + "7" * 5000 + "}"}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
+def test_cli_unreadable_json_exits_2(tmp_path, capsys, kind):
+    """``validate`` on the file, and a command that loads the directory holding it."""
+    path = tmp_path / "bad.json"
+    path.write_text(UNREADABLE_JSON[kind])
+    assert run_cli("validate", path, "--dir", FIXTURES) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    ws = tmp_path / "ws"
+    shutil.copytree(FIXTURES, ws)
+    shutil.copy(path, ws / "bad.json")
+    assert run_cli("abel", "--dir", ws, "--cog", "seg23") == 2
+    assert capsys.readouterr().err.startswith(f"error: {ws / 'bad.json'}: ")
+
+
+def test_cli_unreadable_json_exits_2_under_O(tmp_path):
+    """The same two files in one ``python -O`` process: an error line, no traceback."""
+    for kind, text in UNREADABLE_JSON.items():
+        (tmp_path / f"{kind}.json").write_text(text)
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are live: not running under -O')\n"
+        "from cogkit.cli import main\n"
+        f"sys.exit(sum(main(['validate', f, '--dir', {str(FIXTURES)!r}]) != 2 for f in sys.argv[1:]))\n"
+    )
+    files = [str(tmp_path / f"{kind}.json") for kind in sorted(UNREADABLE_JSON)]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, *files],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cogkit.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [line.split(": ")[1] for line in proc.stderr.splitlines()] == files
 
 
 def test_cli_gen_corpus_deterministic(tmp_path):

@@ -82,7 +82,7 @@ def test_snf_against_sympy_randomized():
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
-        got_inv, got_rank = snf_invariants(rows, ncols)
+        got_inv, got_rank = snf_invariants(rows)
         want_inv, want_rank = snf_oracle(rows, ncols)
         assert got_rank == want_rank, (trial, rows)
         assert sorted(got_inv) == want_inv, (trial, rows)
@@ -101,7 +101,7 @@ def test_snf_against_sympy_unit_heavy_sparse():
             for c in rng.sample(range(ncols), rng.randrange(1, 5)):
                 row[c] = rng.choice((1, -1, 1, -1, 1, -1, 2, -2, 3, 6))
             rows.append(row)
-        got_inv, got_rank = snf_invariants(rows, ncols)
+        got_inv, got_rank = snf_invariants(rows)
         want_inv, want_rank = snf_oracle(rows, ncols)
         assert got_rank == want_rank, (trial, rows)
         assert sorted(got_inv) == want_inv, (trial, rows)
@@ -160,7 +160,7 @@ def snf_matrices(draw):
 def test_snf_pivot_rule_against_sympy(case):
     rows, ncols = case
     copies = [dict(row) for row in rows]
-    got_inv, got_rank = snf_invariants(rows, ncols)
+    got_inv, got_rank = snf_invariants(rows)
     assert rows == copies  # the input rows are not modified
     want_inv, want_rank = snf_oracle(rows, ncols)
     assert got_rank == want_rank
@@ -169,17 +169,17 @@ def test_snf_pivot_rule_against_sympy(case):
 
 def test_snf_known_matrices():
     # diag(2, 6) is already in normal form
-    inv, rank = snf_invariants([{0: 2}, {1: 6}], 2)
+    inv, rank = snf_invariants([{0: 2}, {1: 6}])
     assert inv == [2, 6] and rank == 2
     # [[2, 0], [0, 3]] has invariants 1, 6: the gcd/lcm chain
-    assert snf_invariants([{0: 2}, {1: 3}], 2) == ([1, 6], 2)
+    assert snf_invariants([{0: 2}, {1: 3}]) == ([1, 6], 2)
     # [6] is D itself, so its pivot is 0 mod D and reads as D
-    assert snf_invariants([{0: 6}], 1) == ([6], 1)
+    assert snf_invariants([{0: 6}]) == ([6], 1)
     # rank 1 and D = 6: mod 6 it is [[0, 4], [3, 0]], so the first pivot, 4,
     # leaves 3, and only the chain of gcd(4, 6) and gcd(3, 6) gives 1
-    assert snf_invariants([{0: 6, 1: 4}, {0: 9, 1: 6}], 2) == ([1], 1)
+    assert snf_invariants([{0: 6, 1: 4}, {0: 9, 1: 6}]) == ([1], 1)
     # zero matrix
-    assert snf_invariants([], 3) == ([], 0)
+    assert snf_invariants([]) == ([], 0)
 
 
 def probe_matrix(rng: random.Random) -> tuple[list[dict[int, int]], int]:
@@ -193,15 +193,15 @@ def probe_matrix(rng: random.Random) -> tuple[list[dict[int, int]], int]:
     return rows, ncols
 
 
-# reads [[rows as (column, value) pairs], ncols] cases from stdin and prints,
+# reads [rows as (column, value) pairs] cases from stdin and prints,
 # for each, the invariants, the rank and the seconds the call took
 PROBE_SCRIPT = """\
 import json, sys, time
 from cogkit.presentations import snf_invariants
 out = []
-for rows, ncols in json.load(sys.stdin):
+for rows in json.load(sys.stdin):
     start = time.perf_counter()
-    inv, rank = snf_invariants([dict(row) for row in rows], ncols)
+    inv, rank = snf_invariants([dict(row) for row in rows])
     out.append([inv, rank, time.perf_counter() - start])
 print(json.dumps(out))
 """
@@ -215,7 +215,7 @@ def test_snf_probe_matrices_against_sympy():
     subprocess with a timeout."""
     rng = random.Random(1)
     cases = [probe_matrix(rng) for _ in range(150)]
-    payload = json.dumps([[[list(row.items()) for row in rows], ncols] for rows, ncols in cases])
+    payload = json.dumps([[list(row.items()) for row in rows] for rows, _ in cases])
     proc = subprocess.run(
         [sys.executable, "-c", PROBE_SCRIPT],
         input=payload,
@@ -239,7 +239,7 @@ def test_snf_divisibility_chain():
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
-        inv, _ = snf_invariants(rows, 4)
+        inv, _ = snf_invariants(rows)
         nontrivial = [d for d in inv if d > 1]
         for a, b in zip(nontrivial, nontrivial[1:]):
             assert b % a == 0, (rows, inv)
@@ -269,7 +269,7 @@ def test_unit_pass_cases_against_sympy(case):
     rows, kept, units = UNIT_PASS_CASES[case]
     copies = [dict(row) for row in rows]
     assert _unit_pass(row.items() for row in rows) == (kept, units)
-    got_inv, got_rank = snf_invariants(rows, 3)
+    got_inv, got_rank = snf_invariants(rows)
     assert rows == copies  # the input rows are not modified
     assert (got_inv, got_rank) == snf_oracle(rows, 3)
 

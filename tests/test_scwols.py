@@ -239,6 +239,32 @@ def test_realization_two_simplex(two_simplex):
         assert len(set(ex.vertices_of[cid])) == 3
 
 
+def test_realization_levels_are_the_oracle_chains():
+    """On every base of one corpus seed, 48 of them with composable triples:
+    level k holds the oracle's k-chains and no chain extends the top level;
+    each k-cell has k + 1 faces, (k-1)-cells in order, face j missing vertex k - j."""
+    from cogkit.corpus import build_corpus
+
+    deep = 0
+    for e in build_corpus(seed=20260811, count=200):
+        S = e.complex.base
+        ex = geometric_realization(S)
+        top = len(ex.cells) - 1
+        deep += top >= 3
+        for k in range(1, top + 1):
+            level = chains_oracle(S, k)
+            assert ex.cells[k] == tuple(scwols.UPPER_EDGE_SEP.join(chain) for chain in level)
+            lower = set(ex.cells[k - 1])
+            for cid in ex.cells[k]:
+                vertices = ex.vertices_of[cid]
+                assert len(ex.faces[cid]) == k + 1
+                for j, face in enumerate(ex.faces[cid]):
+                    assert face in lower
+                    assert ex.vertices_of[face] == vertices[: k - j] + vertices[k - j + 1 :]
+        assert not any(S.src(chain[-1]) == m.t for chain in level for m in S.morphisms)
+    assert deep == 48
+
+
 # -- maximal tree ----------------------------------------------------------
 
 def test_tree_single_and_seg(seg):
