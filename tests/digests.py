@@ -27,7 +27,11 @@ The development families run over ``build_corpus(seed, 200)``: every
 - ``check_action_mutations``: the same on one seeded mutation of each
   development, the kinds taken in turn (``MUTATIONS``); kinds that do not
   apply to a development are skipped;
-- ``development_to_json``: the SHA-256 of each development's emitted bytes.
+- ``development_to_json``: the SHA-256 of each development's emitted bytes;
+- ``morphism_to_group_witnesses``: the verdict, failure codes, first failure
+  and local injectivity of ``validate_morphism_to_group`` on the morphism to
+  a group of each development, then on a seeded mutation of it
+  (``mutated_edge``): one edge element changed.
 
 The document families hash each emitted document by its SHA-256.  The
 digest is taken over the canonical JSON of the payload, as every digest here,
@@ -43,6 +47,9 @@ other, and the indenting encoder is about five times slower.
   ``sigma`` and ``local-dev`` write, with their ids.
 ``immersion_reports`` is the ``ImmersionReport`` and ``check_coset_condition``
 of every Sigma there and of every morphism-corpus entry.
+``local_dev_morphisms`` is, for each morphism-corpus entry and each source
+object sigma in sorted order, the object and morphism maps of Phi_sigma
+(``build_local_dev_morphism``) and ``local_dev_morphism_injectivity``.
 
 The presentation families run over ``build_corpus(seed, 200)`` too.
 - ``presentations``: the SHA-256 of ``export(P, "json")`` and
@@ -72,7 +79,7 @@ DEFAULT_SEED = 20260811
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from cogkit import corpus, develop, groups, immersions, io, local, presentations  # noqa: E402
+from cogkit import complexes, corpus, develop, groups, immersions, io, local, presentations  # noqa: E402
 from cogkit.errors import CogkitError  # noqa: E402
 from cogkit.scwols import Morphism, Scwol, maximal_tree, scwol_isomorphic, validate_scwol_morphism  # noqa: E402
 
@@ -301,6 +308,40 @@ def development_families(cases: tuple[list, list]) -> dict[str, list]:
     }
 
 
+def mutated_edge(phi, rng: random.Random):
+    """phi with one edge element, at a seeded morphism of the base, changed to
+    another element of the target; None when the base has no morphism or the
+    target is trivial."""
+    mids = sorted(phi.phi_edge)
+    if not mids or phi.target.order < 2:
+        return None
+    mid = rng.choice(mids)
+    other = rng.choice([g for g in phi.target.elements() if g != phi.phi_edge[mid]])
+    return dataclasses.replace(phi, phi_edge={**phi.phi_edge, mid: other})
+
+
+def witness_data(phi) -> list:
+    report = complexes.validate_morphism_to_group(phi)
+    first = report.validation.failures[:1]
+    return [
+        report.ok, sorted(report.validation.codes()),
+        [[f.code, list(f.witness), f.message] for f in first], sorted(report.injective.items()),
+    ]
+
+
+def morphism_to_group_families(seed: int, devs: list[develop.Development]) -> dict[str, list]:
+    """``morphism_to_group_witnesses`` over the morphisms to a group that the
+    corpus developments ``devs`` were built from."""
+    rng = random.Random(seed)
+    out = []
+    for D in devs:
+        out.append(witness_data(D.morphism))
+        broken = mutated_edge(D.morphism, rng)
+        if broken is not None:
+            out.append(witness_data(broken))
+    return {"morphism_to_group_witnesses": out}
+
+
 def morphism_seed(seed: int) -> int:
     return 411 if seed == DEFAULT_SEED else seed
 
@@ -338,6 +379,23 @@ def immersion_data(phi) -> list:
     ]
 
 
+def local_dev_morphism_data(phi) -> list:
+    """Phi_sigma's maps and injectivity at each source object sigma, in sorted
+    order; each target local development is built once."""
+    targets, out = {}, []
+    for sigma in sorted(phi.source.base.objects):
+        f_sigma = phi.f.obj(sigma)
+        if f_sigma not in targets:
+            targets[f_sigma] = develop.build_local_development(phi.target, f_sigma)
+        src = develop.build_local_development(phi.source, sigma)
+        f = develop.build_local_dev_morphism(phi, sigma, src=src, tgt=targets[f_sigma])
+        injectivity = develop.local_dev_morphism_injectivity(phi, sigma, src=src, tgt=targets[f_sigma])
+        out.append([
+            sigma, sorted(f.on_objects.items()), sorted(f.on_morphisms.items()), sorted(injectivity.items()),
+        ])
+    return out
+
+
 def document_families(seed: int, workspace: tuple[list[str], io.Workspace]) -> dict[str, list]:
     """The document families over ``corpus_workspace(seed)``, passed in as ``workspace``."""
     cog_ids, ws = workspace
@@ -353,6 +411,7 @@ def document_families(seed: int, workspace: tuple[list[str], io.Workspace]) -> d
         + [digest(io.cog_morphism_to_json(phi)) for phi in morphisms],
         "local_documents": local_docs,
         "immersion_reports": sigma_reports + [immersion_data(phi) for phi in morphisms],
+        "local_dev_morphisms": [local_dev_morphism_data(phi) for phi in morphisms],
     }
 
 
@@ -410,9 +469,11 @@ def hashed(families: dict) -> dict[str, str]:
 
 
 def digests(seed: int = DEFAULT_SEED) -> dict[str, str]:
+    cases = development_cases(seed)
     return hashed({
         **group_families(seed),
-        **development_families(development_cases(seed)),
+        **development_families(cases),
+        **morphism_to_group_families(seed, cases[0]),
         **document_families(seed, corpus_workspace(seed)),
         **presentation_families(seed),
     })

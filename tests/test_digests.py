@@ -63,6 +63,12 @@ def test_development_digests_match_the_golden_file(cases):
     assert got == _pinned(got)
 
 
+def test_morphism_to_group_digests_match_the_golden_file(cases):
+    devs, _ = cases
+    got = digests.hashed(digests.morphism_to_group_families(digests.DEFAULT_SEED, devs))
+    assert got == _pinned(got)
+
+
 def test_document_digests_match_the_golden_file(workspace):
     got = digests.hashed(digests.document_families(digests.DEFAULT_SEED, workspace))
     assert got == _pinned(got)
