@@ -16,7 +16,6 @@ from .complexes import CogMorphism, ComplexOfGroups, MorphismToGroup
 from .errors import CompositionUnderdetermined, IndexOutOfRange, NotASubgroup, UnknownObject
 from .groups import CosetSpace, FiniteGroup
 from .scwols import (
-    UPPER_SOURCED,
     Failure,
     Morphism,
     Scwol,
@@ -423,7 +422,7 @@ def build_local_dev_morphism(
     the underlying scwol map.  Prebuilt local developments may be passed in.
     """
     H, Gx = phi.source, phi.target
-    Y, X = H.base, Gx.base
+    Y = H.base
     if sigma not in Y.object_set:
         raise UnknownObject(f"object {sigma!r} not in {Y.label}")
     if src is None:
@@ -434,26 +433,29 @@ def build_local_dev_morphism(
     phi_sigma = phi.phi_local[sigma]
     src_star, tgt_star = src.scwol, tgt.scwol
 
-    image_rep = {}  # upper object -> rep of its image
-    for oid, (rep, c) in src_star.upper.items():
+    image_rep = {}  # upper object (rep, c) -> rep of its image
+    for rep, c in src_star.upper.values():
         fc = phi.f.mor(c)
-        image_rep[oid] = tgt.coset_spaces[fc].rep_of(G.mul(phi_sigma(rep), phi.phi_edge[c]))
+        image_rep[(rep, c)] = tgt.coset_spaces[fc].rep_of(G.mul(phi_sigma(rep), phi.phi_edge[c]))
 
+    # each cell's image is read from its family: an upper-sourced morphism
+    # starts at (rep, cd) for the upper-link edge (c, d), at (rep, c) otherwise
+    f_mor = phi.f.on_morphisms
     on_objects = {src_star.center_id: tgt_star.center_id}
     on_morphisms = {}
     for (kind, rep, *parts), xid in src_star.id_of.items():
         if kind == "center":
             continue
-        if kind == "upper":
-            rep = image_rep[xid]
-        elif kind in UPPER_SOURCED:
-            rep = image_rep[src_star.src(xid)]
-        img = tgt_star.id_of.get((kind, rep, *map(phi.f.mor, parts)))
+        if kind == "lk_up":
+            rep = image_rep[(rep, Y.comp[(parts[0], parts[1])])]
+        elif kind in ("upper", "gamma_c", "b_c"):
+            rep = image_rep[(rep, parts[-1])]
+        img = tgt_star.id_of.get((kind, rep, *map(f_mor.__getitem__, parts)))
         if img is None:
             raise CompositionUnderdetermined(
                 f"image of local-development cell {xid!r} does not exist"
             )
-        (on_objects if xid in src_star.object_set else on_morphisms)[xid] = img
+        (on_objects if kind in ("upper", "lower") else on_morphisms)[xid] = img
     return ScwolMorphism(
         source=src.scwol, target=tgt.scwol, on_objects=on_objects, on_morphisms=on_morphisms
     )

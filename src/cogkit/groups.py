@@ -92,7 +92,8 @@ def from_cayley_table(table: Sequence[Sequence[int]], identity: int, label: str 
     per row: each row's entries against the set of elements, and for each s
     and x, row (x s) of the table against row x read at the entries of row
     s (one ``itemgetter`` per s).  Entries are passed through ``int`` only
-    when one of them is not exactly an int.  Only when a check fails is it
+    when one of them is not exactly an int, and an entry x with
+    ``int(x) != x`` is then refused.  Only when a check fails is it
     scanned element by element: the row for its first out-of-range entry,
     and the triples in lexicographic order for the first that is not
     associative, so the error names the first failing one.  Once the table
@@ -108,7 +109,11 @@ def from_cayley_table(table: Sequence[Sequence[int]], identity: int, label: str 
         raise IndexOutOfRange(f"identity index {identity} out of range for order {order}")
     mult = tuple(map(tuple, table))
     if set(map(type, chain.from_iterable(mult))) != {int}:  # a bool, a float, an int subclass
-        mult = tuple(tuple(map(int, row)) for row in mult)
+        ints = tuple(tuple(map(int, row)) for row in mult)
+        if ints != mult:
+            x, y = next((x, y) for x, row in enumerate(mult) for y, v in enumerate(row) if int(v) != v)
+            raise IndexOutOfRange(f"entry mult[{x}][{y}] = {mult[x][y]} is not an integer")
+        mult = ints
     elements = frozenset(range(order))
     for x, row in enumerate(mult):
         if not elements.issuperset(row):
@@ -256,11 +261,16 @@ def make_hom(source: FiniteGroup, target: FiniteGroup, image: Sequence[int]) -> 
     image of every element, one tuple comparison per x.  Only a failing row
     is scanned, to name its first failing pair.  Values are range-checked
     against the set of target elements, and passed through ``int`` only when
-    one of them is not exactly an int.
+    one of them is not exactly an int; a value x with ``int(x) != x`` is then
+    refused.
     """
     img = tuple(image)
     if set(map(type, img)) != {int}:
-        img = tuple(map(int, img))
+        ints = tuple(map(int, img))
+        if ints != img:
+            x = next(x for x, v in enumerate(img) if int(v) != v)
+            raise IndexOutOfRange(f"image value image[{x}] = {img[x]} is not an integer")
+        img = ints
     if len(img) != source.order:
         raise IndexOutOfRange("image array length differs from source order")
     if not frozenset(range(target.order)).issuperset(img):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import Disconnected, RealizationTooLarge, SearchBudgetExceeded, UnknownObject
@@ -49,7 +50,10 @@ class ValidationReport:
 
 
 class Scwol:
-    """Objects, non-identity morphisms and an explicit composition table."""
+    """Objects, non-identity morphisms and an explicit composition table.
+
+    The id index, the object set and the in/out adjacency are derived from
+    ``objects`` and ``morphisms`` on first read, once per scwol."""
 
     def __init__(
         self,
@@ -59,23 +63,27 @@ class Scwol:
         label: str = "Y",
     ):
         self.objects: tuple[str, ...] = tuple(objects)
-        mors = []
-        for m in morphisms:
-            mors.append(m if isinstance(m, Morphism) else Morphism(*m))
-        self.morphisms: tuple[Morphism, ...] = tuple(mors)
+        self.morphisms: tuple[Morphism, ...] = tuple(
+            m if isinstance(m, Morphism) else Morphism(*m) for m in morphisms
+        )
         self.comp: dict[tuple[str, str], str] = dict(comp)
         self.label = label
-        self.mor_by_id = {m.id: m for m in self.morphisms}
-        self.object_set = set(self.objects)
-        self._out = defaultdict(list)  # i(a) = sigma
-        self._in = defaultdict(list)  # t(a) = sigma
-        for m in self.morphisms:
-            self._out[m.i].append(m.id)
-            self._in[m.t].append(m.id)
-        for v in self._out.values():
-            v.sort()
-        for v in self._in.values():
-            v.sort()
+
+    @cached_property
+    def mor_by_id(self) -> dict[str, Morphism]:
+        return {m.id: m for m in self.morphisms}
+
+    @cached_property
+    def object_set(self) -> set[str]:
+        return set(self.objects)
+
+    @cached_property
+    def _out(self) -> defaultdict[str, list[str]]:  # i(a) = sigma
+        return _sorted_groups((m.i, m.id) for m in self.morphisms)
+
+    @cached_property
+    def _in(self) -> defaultdict[str, list[str]]:  # t(a) = sigma
+        return _sorted_groups((m.t, m.id) for m in self.morphisms)
 
     def out_of(self, obj: str) -> list[str]:
         return self._out.get(obj, [])
@@ -91,6 +99,16 @@ class Scwol:
 
     def __repr__(self) -> str:
         return f"Scwol({self.label!r}, |V|={len(self.objects)}, |E|={len(self.morphisms)})"
+
+
+def _sorted_groups(pairs: Iterable[tuple[str, str]]) -> defaultdict[str, list[str]]:
+    """key -> its sorted values, the keys in order of first appearance."""
+    groups = defaultdict(list)
+    for key, value in pairs:
+        groups[key].append(value)
+    for v in groups.values():
+        v.sort()
+    return groups
 
 
 def validate_scwol(S: Scwol) -> ValidationReport:
@@ -325,6 +343,11 @@ class StarScwol(Scwol):
     in star order (upper, center, lower) unless ``sort_objects`` asks for
     them sorted by id.  ``id_of`` maps every family to its id; ``upper``,
     ``lower`` and ``mor_family`` map ids back to families by kind.
+
+    The objects, families and ids are built at construction.  ``morphisms``
+    and ``comp``, and with them the id index and the adjacency of ``Scwol``,
+    are built on first read, once: a caller that reads only families, such
+    as Phi_sigma (``develop.build_local_dev_morphism``), builds none of them.
     """
 
     def __init__(self, S: Scwol, gamma: str, fiber, shift, label: str, sort_objects: bool = False):
@@ -353,27 +376,35 @@ class StarScwol(Scwol):
                 arrows.append((("lk_dn", None, a, b), ("lower", None, b), ("lower", None, ab)))
 
         id_of = self.id_of = {f: _family_id(f) for f in upper + [center] + lower}
-        objects = sorted(id_of.values()) if sort_objects else list(id_of.values())
-        mors: list[Morphism] = []
+        ids = id_of.values()
+        self.objects = tuple(sorted(ids) if sort_objects else ids)
+        self.label = label
         self.mor_family: dict[str, tuple] = {}
-        by_t = defaultdict(list)  # object id -> [(family, id)] of the morphisms into it
-        for f, i, t in arrows:
-            m = Morphism(_family_id(f), id_of[i], id_of[t])
-            id_of[f] = m.id
-            self.mor_family[m.id] = f
-            mors.append(m)
-            by_t[m.t].append((f, m.id))
-        comp = {
-            (m.id, vid): id_of[_composite(S, u, v)]
-            for (u, _, _), m in zip(arrows, mors)
-            for v, vid in by_t[m.i]
-        }
-        super().__init__(objects, mors, comp, label=label)
+        for f, _, _ in arrows:
+            mid = id_of[f] = _family_id(f)
+            self.mor_family[mid] = f
+        self._arrows = arrows
         self.base = S
         self.center = gamma
         self.center_id = id_of[center]
         self.upper = {id_of[f]: f[1:] for f in upper}  # object id -> (rep, c)
         self.lower = {id_of[f]: f[2] for f in lower}  # object id -> b
+
+    @cached_property
+    def morphisms(self) -> tuple[Morphism, ...]:
+        id_of = self.id_of
+        return tuple(Morphism(id_of[f], id_of[i], id_of[t]) for f, i, t in self._arrows)
+
+    @cached_property
+    def comp(self) -> dict[tuple[str, str], str]:
+        """u v for every u and every v into i(u), its family from ``_composite``."""
+        id_of, S = self.id_of, self.base
+        into = defaultdict(list)  # object family -> families of the morphisms into it
+        for v, _, t in self._arrows:
+            into[t].append(v)
+        return {
+            (id_of[u], id_of[v]): id_of[_composite(S, u, v)] for u, i, _ in self._arrows for v in into[i]
+        }
 
 
 def star_scwol(S: Scwol, gamma: str) -> StarScwol:

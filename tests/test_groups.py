@@ -619,7 +619,7 @@ def small_and_odd_tables():
         ([[0]], 0), ([[1]], 0), ([[-1]], 0), ([[True]], 0), ([[False]], 0), ([[0.0]], 0), ([[Int(0)]], 0),
         ([[0, 1], [1, 0]], 0), ([[1, 0], [0, 1]], 1), ([[0, 1], [1, 1]], 0), ([[1, 0], [0, 1]], 0),
         ([[0, 1], [1, 2]], 0), ([[0, 0], [0, 0]], 0), ([[False, True], [True, False]], 0),
-        ([[0.0, 1.0], [1.0, 0.0]], 0), ([[0, 1], [1, 2.0]], 0), ([[0, 1.5], [1, 0]], 0),
+        ([[0.0, 1.0], [1.0, 0.0]], 0), ([[0, 1], [1, 2.0]], 0),
         (with_floats, 0), (with_subclass, 0), (bad_loop, 0),
         ([[3.0 if v == 0 else v for v in row] for row in S4.mult], 0),
         # one generator, whose test alone finds the triple (1, 1, 1)
@@ -694,7 +694,7 @@ def test_make_hom_agrees_with_the_per_pair_checks():
         (C1, S3, [0]), (C1, S3, [1]), (C1, S3, [6]), (C1, S3, [True]), (C1, S3, [False]), (C1, S3, [0.0]),
         (C1, C1, [Int(0)]), (C1, S3, []), (C1, S3, [0, 0]),
         (C2, S3, [0, transposition]), (C2, S3, [0, three_cycle]), (C2, S3, [0, 0]), (C2, S3, [transposition, 0]),
-        (C2, C2, [False, True]), (C2, C2, [0.0, 1.0]), (C2, C2, [0, 1.5]), (C2, C2, [Int(0), Int(1)]),
+        (C2, C2, [False, True]), (C2, C2, [0.0, 1.0]), (C2, C2, [Int(0), Int(1)]),
         (C2, C2, [0, 2.0]), (S4, S4, [float(v) for v in S4.elements()]), (S4, S4, list(S4.elements())[1:]),
     ]
     messages = set()
@@ -707,6 +707,34 @@ def test_make_hom_agrees_with_the_per_pair_checks():
             assert {type(v) for v in new} == {int}
     for start in ("image array length", "image value", "identity is not preserved", "hom law fails at pair"):
         assert any(m.startswith(start) for m in messages), start
+
+
+
+def test_non_integral_entries_are_refused_by_name():
+    """An entry x with int(x) != x is refused, naming its first place, where
+    the references above truncate it; integral floats and bools still pass."""
+    C2, S3 = groups.cyclic_group(2), groups.symmetric_group(3)
+    tables = [
+        ([[0, 1.5], [1, 0]], 0, "entry mult[0][1] = 1.5 is not an integer"),
+        ([[0.0, 1], [1, -0.5]], 0, "entry mult[1][1] = -0.5 is not an integer"),
+        ([[0, 1.5], [2.5, 0]], 0, "entry mult[0][1] = 1.5 is not an integer"),
+        ([[0, 1, 2.5], [1, 0, 2], [2, 2, 0]], 0, "entry mult[0][2] = 2.5 is not an integer"),
+    ]
+    for table, identity, message in tables:
+        with pytest.raises(IndexOutOfRange) as err:
+            groups.from_cayley_table(table, identity)
+        assert str(err.value) == message
+    homs = [
+        (C2, C2, [0, 1.5], "image value image[1] = 1.5 is not an integer"),
+        (C2, S3, [True, 0.25], "image value image[1] = 0.25 is not an integer"),
+        (C2, C2, [0.5, 7], "image value image[0] = 0.5 is not an integer"),
+    ]
+    for source, target, image, message in homs:
+        with pytest.raises(IndexOutOfRange) as err:
+            groups.make_hom(source, target, image)
+        assert str(err.value) == message
+    assert groups.from_cayley_table([[0.0, True], [1, 0]], 0).mult == ((0, 1), (1, 0))
+    assert groups.make_hom(C2, C2, [False, 1.0]).image == (0, 1)
 
 
 # -- abelian invariants -------------------------------------------------

@@ -265,6 +265,62 @@ def test_realization_levels_are_the_oracle_chains():
     assert deep == 48
 
 
+
+DERIVED = ("mor_by_id", "object_set", "_out", "_in")
+
+
+def eager_indexes(S):
+    """The id index, object set and adjacency as ``Scwol.__init__`` built them
+    before they were derived on first read."""
+    out, into = {}, {}
+    for m in S.morphisms:
+        out.setdefault(m.i, []).append(m.id)
+        into.setdefault(m.t, []).append(m.id)
+    for v in [*out.values(), *into.values()]:
+        v.sort()
+    return {m.id: m for m in S.morphisms}, set(S.objects), out, into
+
+
+def assert_derived_as_before(S):
+    mor_by_id, object_set, out, into = eager_indexes(S)
+    assert list(S.mor_by_id.items()) == list(mor_by_id.items())
+    assert S.object_set == object_set
+    assert list(S._out.items()) == list(out.items()) and list(S._in.items()) == list(into.items())
+    assert all(S.out_of(o) == out.get(o, []) and S.into(o) == into.get(o, []) for o in S.objects)
+    for name in DERIVED:
+        assert name in vars(S), name  # computed once, then read from the instance
+
+
+def test_derived_fields_equal_the_eager_derivation():
+    """Every star and local development of one corpus seed, and a poset
+    scwol: the lazily derived fields equal the old eager derivation and that
+    of a plain ``Scwol`` on the same data, each is computed once per object,
+    and a star builds its morphisms and composition table only when read."""
+    from cogkit.corpus import build_corpus
+    from cogkit.develop import build_local_development
+
+    stars = 0
+    for e in build_corpus(seed=20260811, count=200):
+        C = e.complex
+        for gamma in sorted(C.base.objects):
+            for st in (star_scwol(C.base, gamma), build_local_development(C, gamma).scwol):
+                assert not {"morphisms", "comp", *DERIVED} & vars(st).keys()
+                plain = Scwol(st.objects, st.morphisms, dict(st.comp), st.label)
+                assert "morphisms" in vars(st) and "comp" in vars(st)
+                assert validate_scwol(st).ok
+                assert_derived_as_before(st)
+                assert_derived_as_before(plain)
+                assert list(st.mor_by_id.items()) == list(plain.mor_by_id.items())
+                assert list(st._out.items()) == list(plain._out.items())
+                assert list(st._in.items()) == list(plain._in.items())
+                stars += 1
+    assert stars == 2754
+    poset = scwol_from_poset({"a": {"b", "c", "d"}, "b": {"d"}, "c": {"d"}, "d": set()})
+    assert not set(DERIVED) & vars(poset).keys()
+    assert validate_scwol(poset).ok
+    assert_derived_as_before(poset)
+
+
 # -- maximal tree ----------------------------------------------------------
 
 def test_tree_single_and_seg(seg):
