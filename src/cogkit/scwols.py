@@ -379,11 +379,12 @@ class StarScwol(Scwol):
         ids = id_of.values()
         self.objects = tuple(sorted(ids) if sort_objects else ids)
         self.label = label
-        self.mor_family: dict[str, tuple] = {}
-        for f, _, _ in arrows:
+        mor_family = self.mor_family = {}
+        self._arrows = []  # (family, source id, target id) of each morphism
+        for f, i, t in arrows:
             mid = id_of[f] = _family_id(f)
-            self.mor_family[mid] = f
-        self._arrows = arrows
+            mor_family[mid] = f
+            self._arrows.append((f, id_of[i], id_of[t]))
         self.base = S
         self.center = gamma
         self.center_id = id_of[center]
@@ -393,13 +394,13 @@ class StarScwol(Scwol):
     @cached_property
     def morphisms(self) -> tuple[Morphism, ...]:
         id_of = self.id_of
-        return tuple(Morphism(id_of[f], id_of[i], id_of[t]) for f, i, t in self._arrows)
+        return tuple(Morphism(id_of[f], i, t) for f, i, t in self._arrows)
 
     @cached_property
     def comp(self) -> dict[tuple[str, str], str]:
         """u v for every u and every v into i(u), its family from ``_composite``."""
         id_of, S = self.id_of, self.base
-        into = defaultdict(list)  # object family -> families of the morphisms into it
+        into = defaultdict(list)  # object id -> families of the morphisms into it
         for v, _, t in self._arrows:
             into[t].append(v)
         return {
