@@ -79,11 +79,17 @@ class Scwol:
 
     @cached_property
     def _out(self) -> defaultdict[str, list[str]]:  # i(a) = sigma
-        return _sorted_groups((m.i, m.id) for m in self.morphisms)
+        out = defaultdict(list)
+        for m in self.morphisms:
+            out[m.i].append(m.id)
+        return _sorted_values(out)
 
     @cached_property
     def _in(self) -> defaultdict[str, list[str]]:  # t(a) = sigma
-        return _sorted_groups((m.t, m.id) for m in self.morphisms)
+        into = defaultdict(list)
+        for m in self.morphisms:
+            into[m.t].append(m.id)
+        return _sorted_values(into)
 
     def out_of(self, obj: str) -> list[str]:
         return self._out.get(obj, [])
@@ -101,11 +107,8 @@ class Scwol:
         return f"Scwol({self.label!r}, |V|={len(self.objects)}, |E|={len(self.morphisms)})"
 
 
-def _sorted_groups(pairs: Iterable[tuple[str, str]]) -> defaultdict[str, list[str]]:
-    """key -> its sorted values, the keys in order of first appearance."""
-    groups = defaultdict(list)
-    for key, value in pairs:
-        groups[key].append(value)
+def _sorted_values(groups: defaultdict[str, list[str]]) -> defaultdict[str, list[str]]:
+    """``groups`` with each list sorted in place."""
     for v in groups.values():
         v.sort()
     return groups
