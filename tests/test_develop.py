@@ -15,7 +15,7 @@ from cogkit.complexes import (
     identity_cog_morphism,
     validate_cog_morphism,
 )
-from cogkit.corpus import build_corpus
+from cogkit.corpus import build_corpus, build_morphism_corpus
 from cogkit.develop import (
     _action_certified,
     _scan_action,
@@ -522,3 +522,16 @@ def test_phi_sigma_collapse_merges_upper_link():
     # still a valid scwol morphism
     f = build_local_dev_morphism(phi, "g")
     assert validate_scwol_morphism(f).ok
+
+
+def test_phi_sigma_builds_nothing_derived_on_either_local_development():
+    """Phi_sigma and its injectivity read families, ids and coset reps only:
+    neither local development's morphisms, table, id index, object set or
+    adjacency is built, on the first 40 entries of the morphism corpus."""
+    derived = {"morphisms", "comp", "mor_by_id", "object_set", "_in", "_out"}
+    for phi in build_morphism_corpus(411, 40):
+        for sigma in sorted(phi.source.base.objects):
+            src = build_local_development(phi.source, sigma)
+            tgt = build_local_development(phi.target, phi.f.obj(sigma))
+            local_dev_morphism_injectivity(phi, sigma, src=src, tgt=tgt)
+            assert not derived & (vars(src.scwol).keys() | vars(tgt.scwol).keys())

@@ -709,7 +709,6 @@ def test_make_hom_agrees_with_the_per_pair_checks():
         assert any(m.startswith(start) for m in messages), start
 
 
-
 def test_non_integral_entries_are_refused_by_name():
     """An entry x with int(x) != x is refused, naming its first place, where
     the references above truncate it; integral floats and bools still pass."""
