@@ -16,6 +16,7 @@ from .complexes import CogMorphism, ComplexOfGroups, MorphismToGroup
 from .errors import CompositionUnderdetermined, IndexOutOfRange, NotASubgroup, UnknownObject
 from .groups import CosetSpace, FiniteGroup
 from .scwols import (
+    UPPER_SOURCED,
     Failure,
     Morphism,
     Scwol,
@@ -409,17 +410,14 @@ def stabilizer_order(D: Development, oid: str) -> int:
 
 # -- induced morphisms of local developments ----------------------------------
 
-def build_local_dev_morphism(
-    phi: CogMorphism,
-    sigma: str,
-    src: Optional[LocalDevelopment] = None,
-    tgt: Optional[LocalDevelopment] = None,
+def _phi_sigma(
+    phi: CogMorphism, sigma: str, src: Optional[LocalDevelopment], tgt: Optional[LocalDevelopment]
 ) -> ScwolMorphism:
-    """Phi_sigma from the local development at sigma to the one at f(sigma).
+    """Phi_sigma on families: its maps send each cell's family in the local
+    development at sigma to its image's family in the one at f(sigma).
 
-    On the fattened upper link the map sends the coset (h xi_c(H_i(c)), c)
-    to (phi_sigma(h) phi(c) psi_f(c)(G_i(f(c))), f(c)); everywhere else it is
-    the underlying scwol map.  Prebuilt local developments may be passed in.
+    Only families and coset reps are read, so no id is formatted unless an
+    image does not exist, when ``CompositionUnderdetermined`` names the cell.
     """
     H, Gx = phi.source, phi.target
     Y = H.base
@@ -431,33 +429,55 @@ def build_local_dev_morphism(
         tgt = build_local_development(Gx, phi.f.obj(sigma))
     G = Gx.group_of[phi.f.obj(sigma)]
     phi_sigma = phi.phi_local[sigma]
-    src_star, tgt_star = src.scwol, tgt.scwol
+    src_star, members = src.scwol, tgt.scwol.families
 
-    image_rep = {}  # upper object (rep, c) -> rep of its image
-    for rep, c in src_star.upper.values():
-        fc = phi.f.mor(c)
-        image_rep[(rep, c)] = tgt.coset_spaces[fc].rep_of(G.mul(phi_sigma(rep), phi.phi_edge[c]))
-
-    # each cell's image is read from its family: an upper-sourced morphism
-    # starts at (rep, cd) for the upper-link edge (c, d), at (rep, c) otherwise
     f_mor = phi.f.on_morphisms
-    on_objects = {src_star.center_id: tgt_star.center_id}
+    on_objects = {("center", None, sigma): ("center", None, phi.f.obj(sigma))}
     on_morphisms = {}
-    for (kind, rep, *parts), xid in src_star.id_of.items():
-        if kind == "center":
+    for cell in src_star.object_families:
+        kind, rep, *parts = cell
+        if kind == "upper":
+            c = parts[0]
+            rep = tgt.coset_spaces[f_mor[c]].rep_of(G.mul(phi_sigma(rep), phi.phi_edge[c]))
+        elif kind == "center":
             continue
-        if kind == "lk_up":
-            rep = image_rep[(rep, Y.comp[(parts[0], parts[1])])]
-        elif kind in ("upper", "gamma_c", "b_c"):
-            rep = image_rep[(rep, parts[-1])]
-        img = tgt_star.id_of.get((kind, rep, *map(f_mor.__getitem__, parts)))
-        if img is None:
-            raise CompositionUnderdetermined(
-                f"image of local-development cell {xid!r} does not exist"
-            )
-        (on_objects if kind in ("upper", "lower") else on_morphisms)[xid] = img
+        on_objects[cell] = (kind, rep, *map(f_mor.__getitem__, parts))
+    for cell, source, _ in src_star.arrows:
+        kind, rep, *parts = cell
+        if kind in UPPER_SOURCED:  # it carries the image rep of the upper object it starts at
+            rep = on_objects[source][1]
+        on_morphisms[cell] = (kind, rep, *map(f_mor.__getitem__, parts))
+    if not members.issuperset(itertools.chain(on_objects.values(), on_morphisms.values())):
+        images = itertools.chain(on_objects.items(), on_morphisms.items())
+        cell = next(x for x, y in images if y not in members)
+        raise CompositionUnderdetermined(
+            f"image of local-development cell {src_star.id_of[cell]!r} does not exist"
+        )
     return ScwolMorphism(
         source=src.scwol, target=tgt.scwol, on_objects=on_objects, on_morphisms=on_morphisms
+    )
+
+
+def build_local_dev_morphism(
+    phi: CogMorphism,
+    sigma: str,
+    src: Optional[LocalDevelopment] = None,
+    tgt: Optional[LocalDevelopment] = None,
+) -> ScwolMorphism:
+    """Phi_sigma from the local development at sigma to the one at f(sigma).
+
+    On the fattened upper link the map sends the coset (h xi_c(H_i(c)), c)
+    to (phi_sigma(h) phi(c) psi_f(c)(G_i(f(c))), f(c)); everywhere else it is
+    the underlying scwol map.  Prebuilt local developments may be passed in.
+    The map is computed on families and formatted to ids through ``id_of``.
+    """
+    f = _phi_sigma(phi, sigma, src, tgt)
+    src_id, tgt_id = f.source.id_of, f.target.id_of
+    return ScwolMorphism(
+        source=f.source,
+        target=f.target,
+        on_objects={src_id[x]: tgt_id[y] for x, y in f.on_objects.items()},
+        on_morphisms={src_id[x]: tgt_id[y] for x, y in f.on_morphisms.items()},
     )
 
 
@@ -467,15 +487,13 @@ def local_dev_morphism_injectivity(
     src: Optional[LocalDevelopment] = None,
     tgt: Optional[LocalDevelopment] = None,
 ) -> dict[str, bool]:
-    """Injectivity of Phi_sigma on objects, morphisms and the upper link."""
-    if src is None:
-        src = build_local_development(phi.source, sigma)
-    f = build_local_dev_morphism(phi, sigma, src=src, tgt=tgt)
-    obj_inj = len(set(f.on_objects.values())) == len(f.on_objects)
-    mor_inj = len(set(f.on_morphisms.values())) == len(f.on_morphisms)
-    upper = [f.on_objects[o] for o in src.scwol.upper]
+    """Injectivity of Phi_sigma on objects, morphisms and the upper link,
+    counted on families: ``id_of`` is injective, so the counts are those of
+    ``build_local_dev_morphism``'s maps on ids."""
+    f = _phi_sigma(phi, sigma, src, tgt)
+    upper = [y for x, y in f.on_objects.items() if x[0] == "upper"]
     return {
-        "objects": obj_inj,
-        "morphisms": mor_inj,
+        "objects": len(set(f.on_objects.values())) == len(f.on_objects),
+        "morphisms": len(set(f.on_morphisms.values())) == len(f.on_morphisms),
         "upper_link": len(set(upper)) == len(upper),
     }

@@ -347,10 +347,14 @@ class StarScwol(Scwol):
     them sorted by id.  ``id_of`` maps every family to its id; ``upper``,
     ``lower`` and ``mor_family`` map ids back to families by kind.
 
-    The objects, families and ids are built at construction.  ``morphisms``
-    and ``comp``, and with them the id index and the adjacency of ``Scwol``,
-    are built on first read, once: a caller that reads only families, such
-    as Phi_sigma (``develop.build_local_dev_morphism``), builds none of them.
+    Only families are built at construction: ``object_families`` (upper,
+    center, lower) and ``arrows``, each morphism as (family, source family,
+    target family).  Every id, and everything keyed or listed by id
+    (``id_of``, ``objects``, ``upper``, ``lower``, ``center_id``,
+    ``mor_family``, ``morphisms``, ``comp``, and with them the id index and
+    the adjacency of ``Scwol``), is built on first read, once.  A caller
+    that reads only families, such as Phi_sigma's injectivity
+    (``develop.local_dev_morphism_injectivity``), formats no id.
     """
 
     def __init__(self, S: Scwol, gamma: str, fiber, shift, label: str, sort_objects: bool = False):
@@ -360,7 +364,7 @@ class StarScwol(Scwol):
         center = ("center", None, gamma)
         upper = [("upper", rep, c) for c in ups for rep in fiber(c)]
         lower = [("lower", None, b) for b in downs]
-        arrows: list[tuple[tuple, tuple, tuple]] = []  # (family, i, t)
+        arrows: list[tuple[tuple, tuple, tuple]] = []
         for c in ups:
             for d in S.into(S.src(c)):
                 cd = S.comp[(c, d)]
@@ -378,21 +382,55 @@ class StarScwol(Scwol):
                 ab = S.comp[(a, b)]
                 arrows.append((("lk_dn", None, a, b), ("lower", None, b), ("lower", None, ab)))
 
-        id_of = self.id_of = {f: _family_id(f) for f in upper + [center] + lower}
-        ids = id_of.values()
-        self.objects = tuple(sorted(ids) if sort_objects else ids)
-        self.label = label
-        mor_family = self.mor_family = {}
-        self._arrows = []  # (family, source id, target id) of each morphism
-        for f, i, t in arrows:
-            mid = id_of[f] = _family_id(f)
-            mor_family[mid] = f
-            self._arrows.append((f, id_of[i], id_of[t]))
+        self.object_families = (*upper, center, *lower)
+        self.arrows = arrows  # (family, source family, target family) of each morphism
         self.base = S
         self.center = gamma
-        self.center_id = id_of[center]
-        self.upper = {id_of[f]: f[1:] for f in upper}  # object id -> (rep, c)
-        self.lower = {id_of[f]: f[2] for f in lower}  # object id -> b
+        self.label = label
+        self._sort_objects = sort_objects
+
+    @cached_property
+    def id_of(self) -> dict[tuple, str]:
+        """Every object and morphism family -> its id."""
+        mors = (f for f, _, _ in self.arrows)
+        return {f: _family_id(f) for f in itertools.chain(self.object_families, mors)}
+
+    @cached_property
+    def families(self) -> set[tuple]:
+        """Every object and morphism family, without formatting an id."""
+        return {*self.object_families, *(f for f, _, _ in self.arrows)}
+
+    @cached_property
+    def objects(self) -> tuple[str, ...]:
+        ids = [self.id_of[f] for f in self.object_families]
+        return tuple(sorted(ids) if self._sort_objects else ids)
+
+    @cached_property
+    def center_id(self) -> str:
+        return self.id_of[("center", None, self.center)]
+
+    @cached_property
+    def upper(self) -> dict[str, tuple]:
+        """Upper object id -> (rep, c)."""
+        id_of = self.id_of
+        return {id_of[f]: f[1:] for f in self.object_families if f[0] == "upper"}
+
+    @cached_property
+    def lower(self) -> dict[str, str]:
+        """Lower object id -> b."""
+        id_of = self.id_of
+        return {id_of[f]: f[2] for f in self.object_families if f[0] == "lower"}
+
+    @cached_property
+    def mor_family(self) -> dict[str, tuple]:
+        id_of = self.id_of
+        return {id_of[f]: f for f, _, _ in self.arrows}
+
+    @cached_property
+    def _arrows(self) -> list[tuple[tuple, str, str]]:
+        """(family, source id, target id) of each morphism."""
+        id_of = self.id_of
+        return [(f, id_of[i], id_of[t]) for f, i, t in self.arrows]
 
     @cached_property
     def morphisms(self) -> tuple[Morphism, ...]:

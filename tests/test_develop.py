@@ -27,10 +27,12 @@ from cogkit.develop import (
     local_dev_morphism_injectivity,
     stabilizer_order,
 )
+from cogkit.errors import CompositionUnderdetermined
 from cogkit.local import build_local_cog, build_sigma, build_theta
 from cogkit.scwols import (
     Morphism,
     Scwol,
+    ScwolMorphism,
     identity_scwol_morphism,
     scwol_isomorphic,
     validate_scwol,
@@ -524,14 +526,54 @@ def test_phi_sigma_collapse_merges_upper_link():
     assert validate_scwol_morphism(f).ok
 
 
+def test_phi_sigma_names_a_cell_without_an_image():
+    """f sends b, out of g, to e, out of n: the lower object b:b of the local
+    development at g has no image there, and the error names its id."""
+    base = Scwol(["g", "m", "n"], [Morphism("b", "g", "m"), Morphism("e", "n", "m")], {}, label="V")
+    C = trivial_cog(base)
+    triv = groups.cyclic_group(1)
+    f = ScwolMorphism(base, base, {o: o for o in base.objects}, {"b": "e", "e": "e"})
+    phi = CogMorphism(
+        source=C,
+        target=C,
+        f=f,
+        phi_local={o: groups.identity_hom(triv) for o in base.objects},
+        phi_edge={"b": 0, "e": 0},
+    )
+    for check in (build_local_dev_morphism, local_dev_morphism_injectivity):
+        with pytest.raises(CompositionUnderdetermined, match="cell 'b:b' does not exist"):
+            check(phi, "g")
+
+
 def test_phi_sigma_builds_nothing_derived_on_either_local_development():
-    """Phi_sigma and its injectivity read families, ids and coset reps only:
-    neither local development's morphisms, table, id index, object set or
-    adjacency is built, on the first 40 entries of the morphism corpus."""
+    """Phi_sigma's injectivity reads families and coset reps only: neither
+    local development formats an id or builds its object tuple, id maps,
+    morphisms, table, id index, object set or adjacency, and only the target
+    builds its family set, on the first 40 entries of the morphism corpus."""
     derived = {"morphisms", "comp", "mor_by_id", "object_set", "_in", "_out"}
+    derived |= {"id_of", "objects", "mor_family", "upper", "lower", "center_id", "_arrows"}
     for phi in build_morphism_corpus(411, 40):
         for sigma in sorted(phi.source.base.objects):
             src = build_local_development(phi.source, sigma)
             tgt = build_local_development(phi.target, phi.f.obj(sigma))
             local_dev_morphism_injectivity(phi, sigma, src=src, tgt=tgt)
             assert not derived & (vars(src.scwol).keys() | vars(tgt.scwol).keys())
+            assert "families" not in vars(src.scwol)
+
+
+def test_phi_sigma_family_verdicts_equal_the_id_counts():
+    """On the first 200 entries of the morphism corpus, the injectivity
+    counted on families agrees with distinct ids in Phi_sigma's maps (1 337
+    source objects, 118 of them not injective)."""
+    verdicts = []
+    for phi in build_morphism_corpus(411, 200):
+        for sigma in sorted(phi.source.base.objects):
+            f = build_local_dev_morphism(phi, sigma)
+            upper = [f.on_objects[o] for o in f.source.upper]
+            verdicts.append(local_dev_morphism_injectivity(phi, sigma))
+            assert verdicts[-1] == {
+                "objects": len(set(f.on_objects.values())) == len(f.on_objects),
+                "morphisms": len(set(f.on_morphisms.values())) == len(f.on_morphisms),
+                "upper_link": len(set(upper)) == len(upper),
+            }
+    assert (len(verdicts), sum(not v["upper_link"] for v in verdicts)) == (1337, 118)
