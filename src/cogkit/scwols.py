@@ -754,26 +754,31 @@ def scwol_isomorphic(
 
 
 def _refine_colors(S1: Scwol, S2: Scwol) -> list[dict[str, int]]:
-    """Object colours of both scwols after 3 rounds of refinement by the
-    colours at the other ends of each object's morphisms; the numbering is
-    shared, so equal colours mean equal signatures."""
+    """Object colours of both scwols under colour refinement: first each
+    object's (out-degree, in-degree), then up to 2 rounds more by the colours
+    at the other ends of its morphisms, stopping once the number of colours
+    stops growing (the partition is then stable).  The numbering is shared
+    and first-seen, so equal colours mean equal signatures."""
     ends = [{o: ([], []) for o in S.objects} for S in (S1, S2)]  # targets out, sources in
     for S, end in zip((S1, S2), ends):
         for m in S.morphisms:
             end[m.i][0].append(m.t)
             end[m.t][1].append(m.i)
-    colors = [dict.fromkeys(S.objects, 0) for S in (S1, S2)]
-    for _ in range(3):
+    canon: dict = {}
+    colors = [
+        {o: canon.setdefault((len(outs), len(ins)), len(canon)) for o, (outs, ins) in end.items()}
+        for end in ends
+    ]
+    for _ in range(2):
+        classes, canon = len(canon), {}
         sigs = [
             {o: (col[o], tuple(sorted(map(col.get, outs))), tuple(sorted(map(col.get, ins))))
              for o, (outs, ins) in end.items()}
             for end, col in zip(ends, colors)
         ]
-        canon = {s: k for k, s in enumerate(sorted(set(sigs[0].values()) | set(sigs[1].values())))}
-        new = [{o: canon[s] for o, s in sig.items()} for sig in sigs]
-        if new == colors:
+        colors = [{o: canon.setdefault(s, len(canon)) for o, s in sig.items()} for sig in sigs]
+        if len(canon) == classes:
             break
-        colors = new
     return colors
 
 

@@ -500,6 +500,61 @@ def test_iso_against_networkx_oracle():
         assert_isomorphism(scwol_isomorphic(S, other), S, other)
 
 
+def three_round_colors(S1, S2):
+    """The reference refinement: 3 rounds from one colour, each signature
+    (colour, sorted out-colours, sorted in-colours) numbered in sorted order
+    over both scwols, stopping early only when the numbering repeats."""
+    ends = [{o: ([], []) for o in S.objects} for S in (S1, S2)]
+    for S, end in zip((S1, S2), ends):
+        for m in S.morphisms:
+            end[m.i][0].append(m.t)
+            end[m.t][1].append(m.i)
+    colors = [dict.fromkeys(S.objects, 0) for S in (S1, S2)]
+    for _ in range(3):
+        sigs = [
+            {o: (col[o], tuple(sorted(map(col.get, outs))), tuple(sorted(map(col.get, ins))))
+             for o, (outs, ins) in end.items()}
+            for end, col in zip(ends, colors)
+        ]
+        canon = {s: k for k, s in enumerate(sorted(set(sigs[0].values()) | set(sigs[1].values())))}
+        new = [{o: canon[s] for o, s in sig.items()} for sig in sigs]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def joint_partition(colors) -> set[frozenset]:
+    """The classes of (side, object) under a shared colouring of two scwols."""
+    classes = {}
+    for side, col in enumerate(colors):
+        for o, k in col.items():
+            classes.setdefault(k, set()).add((side, o))
+    return set(map(frozenset, classes.values()))
+
+
+def test_refine_colors_matches_the_three_round_rule_on_the_corpus():
+    """Stopping at a stable partition gives the 3-round partition on the
+    1377 (development, local development) pairs of the acceptance corpus
+    and on every pair of its first 40 bases."""
+    from cogkit.corpus import build_corpus
+    from cogkit.develop import build_development, build_local_development
+    from cogkit.local import build_local_cog, build_theta
+
+    corpus = build_corpus(seed=20260811, count=200)
+    pairs = []
+    for e in corpus:
+        for gamma in e.complex.base.objects:
+            L = build_local_cog(e.complex, gamma)
+            D = build_development(L.cog, build_theta(L))
+            pairs.append((D.scwol, build_local_development(e.complex, gamma).scwol))
+    bases = [e.complex.base for e in corpus[:40]]
+    pairs += itertools.product(bases, bases)
+    assert len(pairs) == 1377 + 40 * 40
+    for S1, S2 in pairs:
+        assert joint_partition(scwols._refine_colors(S1, S2)) == joint_partition(three_round_colors(S1, S2))
+
+
 def test_identity_morphism_valid(two_simplex):
     assert validate_scwol_morphism(identity_scwol_morphism(two_simplex)).ok
     assert is_nondegenerate(identity_scwol_morphism(two_simplex))
