@@ -215,16 +215,35 @@ def _pair_map(entries: list, where: str) -> dict:
     return out
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; ``json`` would keep the last of two equal keys,
+    so a repeated key is refused by name."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"object key {key!r} repeated")
+            seen.add(key)
+    return obj
+
+
+# one decoder for every file: ``json.loads`` with a hook would build a new one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _read_json(path: Union[str, Path]):
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}")
+    if text.startswith("\ufeff"):  # what json.loads says; the decoder alone finds no value
+        raise ParseError(f"{path}: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)")
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long
+    except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long, a repeated key
         raise ParseError(f"{path}: {exc}")
 
 

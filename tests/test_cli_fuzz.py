@@ -2,12 +2,13 @@
 
 Each example takes one document of the fixture workspace (plus a
 cog-morphism and a presentation built from the fixtures), applies one to
-three mutations (drop a key, change a value's JSON type, replace an int by
-one in -2..50, truncate a list), and runs ``validate`` and the commands
-that read that kind of document, in-process.  A top-level value may also
-be nested past the parser's recursion limit or become an integer past its
-digit limit, and a scwol may become a total order whose realization passes
-the cell cap, which this test lowers so that the refusal costs little.
+three mutations (drop a key, repeat a key, change a value's JSON type,
+replace an int by one in -2..50 or by a non-integral float, truncate a
+list), and runs ``validate`` and the commands that read that kind of
+document, in-process.  A top-level value may also be nested past the
+parser's recursion limit or become an integer past its digit limit, and a
+scwol may become a total order whose realization passes the cell cap,
+which this test lowers so that the refusal costs little.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ RETYPED = [None, True, 7, 2.5, "x", [], [0], {}, {"x": 0}]
 # JSON text that json.dumps cannot write, put in place of a marker string
 UNWRITABLE = {"nest": "[" * 2000 + "]" * 2000, "huge": "7" * 5000}
 
+# a key with this prefix is written without it, repeating the key it copies
+REPEAT = "<repeat>"
+
 # the total order on 8 objects realizes in 255 cells, past this lowered cap
 CELL_CAP = 128
 CHAIN = scwol_from_poset({f"x{j}": {f"x{k}" for k in range(j + 1, 8)} for j in range(8)})
@@ -88,9 +92,9 @@ def _mutate(doc: dict, data) -> None:
     key = path[-1]
     kinds = ["retype"]
     if isinstance(parent, dict):
-        kinds.append("drop")
+        kinds += ["drop", "repeat-key"]
     if type(value) is int:
-        kinds.append("int")
+        kinds += ["int", "non-integral"]
     if isinstance(value, list) and value:
         kinds.append("truncate")
     if len(path) == 1:
@@ -100,8 +104,12 @@ def _mutate(doc: dict, data) -> None:
     kind = data.draw(st.sampled_from(kinds))
     if kind == "drop":
         del parent[key]
+    elif kind == "repeat-key":
+        parent[REPEAT + key] = copy.deepcopy(value)
     elif kind == "int":
         parent[key] = data.draw(st.integers(-2, 50))
+    elif kind == "non-integral":
+        parent[key] = data.draw(st.integers(-2, 50)) + 0.5
     elif kind == "truncate":
         parent[key] = value[: data.draw(st.integers(0, len(value) - 1))]
     elif kind in UNWRITABLE:
@@ -128,7 +136,7 @@ def test_mutated_documents_exit_with_a_code(documents, workspace, data):
     vertex = (documents[base] if isinstance(base, str) else base)["objects"][0] if base else None
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(doc, data)
-    text = json.dumps(doc)
+    text = json.dumps(doc).replace(f'"{REPEAT}', '"')
     for kind, value in UNWRITABLE.items():
         text = text.replace(f'"<{kind}>"', value)
     path = workspace / f"{name}.json"

@@ -273,8 +273,15 @@ def test_cli_realize_past_the_cell_cap_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: the realization of 'chain18' would pass 32768 cells\n"
 
 
-# a JSON text nested past the parser's recursion limit, and an integer past its digit limit
-UNREADABLE_JSON = {"deep": "[" * 200_000, "long-int": '{"schema": "group/1", "order": ' + "7" * 5000 + "}"}
+# a JSON text nested past the parser's recursion limit, an integer past its digit
+# limit, tri-z2 with "p.q>p" listed twice in psi (json alone keeps the last), and
+# a document after a UTF-8 byte order mark
+UNREADABLE_JSON = {
+    "bom": '\ufeff{"schema": "group/1", "order": 1}',
+    "deep": "[" * 200_000,
+    "long-int": '{"schema": "group/1", "order": ' + "7" * 5000 + "}",
+    "repeated-key": (FIXTURES / "tri-z2.json").read_text().replace('"psi": {', '"psi": {"p.q>p": [0], ', 1),
+}
 
 
 @pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
@@ -291,8 +298,15 @@ def test_cli_unreadable_json_exits_2(tmp_path, capsys, kind):
     assert capsys.readouterr().err.startswith(f"error: {ws / 'bad.json'}: ")
 
 
+def test_cli_repeated_json_key_is_named(tmp_path, capsys):
+    path = tmp_path / "tri-z2.json"
+    path.write_text(UNREADABLE_JSON["repeated-key"])
+    assert run_cli("validate", path, "--dir", FIXTURES) == 2
+    assert capsys.readouterr().err == f"error: {path}: object key 'p.q>p' repeated\n"
+
+
 def test_cli_unreadable_json_exits_2_under_O(tmp_path):
-    """The same two files in one ``python -O`` process: an error line, no traceback."""
+    """The same files in one ``python -O`` process: an error line, no traceback."""
     for kind, text in UNREADABLE_JSON.items():
         (tmp_path / f"{kind}.json").write_text(text)
     script = (
