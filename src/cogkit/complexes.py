@@ -281,8 +281,8 @@ def compose_to_group(theta: MorphismToGroup, phi: CogMorphism) -> MorphismToGrou
 
 # -- coboundary ---------------------------------------------------------------
 
-def coboundary(C: ComplexOfGroups, g: dict[str, int]) -> tuple[ComplexOfGroups, CogMorphism]:
-    """Twist C by elements g_a in G_t(a); returns the new complex and the iso.
+def coboundary_complex(C: ComplexOfGroups, g: dict[str, int]) -> ComplexOfGroups:
+    """Twist C by elements g_a in G_t(a).
 
     New homs are psi'_a = Ad(g_a^-1) psi_a.  The printed twist formula of the
     source text drops a factor, so the new twists are solved from morphism
@@ -316,9 +316,16 @@ def coboundary(C: ComplexOfGroups, g: dict[str, int]) -> tuple[ComplexOfGroups, 
         new_twist[(a, b)] = Gt.word(
             [new_psi[a](Gi.inv[g[b]]), Gt.inv[g[a]], C.twist[(a, b)], g[ab]]
         )
-    newC = ComplexOfGroups(
+    return ComplexOfGroups(
         base=S, group_of=dict(C.group_of), psi=new_psi, twist=new_twist, label=f"{C.label}~"
     )
+
+
+def coboundary(C: ComplexOfGroups, g: dict[str, int]) -> tuple[ComplexOfGroups, CogMorphism]:
+    """Twist C by elements g_a in G_t(a) (``coboundary_complex``); returns
+    the new complex and the iso: identity local homs, and g_a on each a."""
+    newC = coboundary_complex(C, g)
+    S = C.base
     iso = CogMorphism(
         source=C,
         target=newC,

@@ -14,20 +14,21 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from . import groups
-from .complexes import (
-    CogMorphism,
-    ComplexOfGroups,
-    MorphismToGroup,
-    coboundary,
-    identity_cog_morphism,
+from .complexes import CogMorphism, ComplexOfGroups, MorphismToGroup, coboundary_complex
+from .errors import DirectedCycle, NotASubgroup
+from .groups import FiniteGroup, GroupHom
+from .scwols import (
+    Morphism,
+    Scwol,
+    ScwolMorphism,
+    identity_scwol_morphism,
+    scwol_from_poset,
+    scwol_from_simplicial_complex,
 )
-from .errors import DirectedCycle
-from .groups import FiniteGroup
-from .scwols import Morphism, Scwol, ScwolMorphism, scwol_from_poset, scwol_from_simplicial_complex
 
 MAX_OBJECTS = 12
 
@@ -145,21 +146,113 @@ class CorpusEntry:
     to_ambient: MorphismToGroup  # injective on local groups: developability witness
 
 
-def random_subgroup_complex(
-    S: Scwol, ambient: FiniteGroup, rng: random.Random
+class PackagingMemo:
+    """The packaged subgroups and the homs that one corpus build shares.
+
+    Each (ambient group, sorted elements) pair is packaged once, so equal
+    subgroups of one ambient group are one ``FiniteGroup`` within a build
+    and share its coset memo.  The key is the ambient object, not the
+    table: subgroups of different ambient groups with equal tables keep
+    their own labels.  One memo serves one build, so two builds share no
+    group and no coset space; it is kept neither at module level nor on a
+    group.  Keyed by object id, it keeps every keyed group alive through the
+    homs it holds.
+    """
+
+    def __init__(self) -> None:
+        # (ambient, elements) -> packaged group, inclusion, position of each element
+        self._subgroups: dict[tuple[int, tuple[int, ...]], tuple[FiniteGroup, GroupHom, dict[int, int]]] = {}
+        self._inclusions: dict[tuple[int, tuple[int, ...], tuple[int, ...]], GroupHom] = {}
+        self._identities: dict[int, GroupHom] = {}
+        self._to_trivial: dict[int, GroupHom] = {}
+
+    def subgroup(self, ambient: FiniteGroup, elements: tuple[int, ...]) -> tuple[FiniteGroup, GroupHom]:
+        """The subgroup on sorted ``elements`` as a group, and its inclusion."""
+        key = (id(ambient), elements)
+        entry = self._subgroups.get(key)
+        if entry is None:
+            H, incl = groups.subgroup_group(ambient, elements)
+            entry = self._subgroups[key] = (H, incl, {v: k for k, v in enumerate(elements)})
+        return entry[0], entry[1]
+
+    def inclusion(self, ambient: FiniteGroup, src: tuple[int, ...], tgt: tuple[int, ...]) -> GroupHom:
+        """The inclusion of the packaged subgroup on ``src`` into the one on ``tgt``."""
+        key = (id(ambient), src, tgt)
+        hom = self._inclusions.get(key)
+        if hom is None:
+            source, _ = self.subgroup(ambient, src)
+            target, _ = self.subgroup(ambient, tgt)
+            pos = self._subgroups[(id(ambient), tgt)][2]
+            if not pos.keys() >= set(src):
+                raise NotASubgroup(f"{source.label} is not contained in {target.label}")
+            image = tuple(map(pos.__getitem__, src))
+            hom = self._inclusions[key] = GroupHom(source=source, target=target, image=image)
+        return hom
+
+    def identity(self, G: FiniteGroup) -> GroupHom:
+        hom = self._identities.get(id(G))
+        if hom is None:
+            hom = self._identities[id(G)] = groups.identity_hom(G)
+        return hom
+
+    @cached_property
+    def trivial(self) -> FiniteGroup:
+        return groups.cyclic_group(1)
+
+    def to_trivial(self, G: FiniteGroup) -> GroupHom:
+        hom = self._to_trivial.get(id(G))
+        if hom is None:
+            hom = self._to_trivial[id(G)] = groups.trivial_hom(G, self.trivial)
+        return hom
+
+
+def subgroup_complex(
+    S: Scwol,
+    ambient: FiniteGroup,
+    elements: dict[str, tuple[int, ...]],
+    memo: Optional[PackagingMemo] = None,
 ) -> tuple[ComplexOfGroups, MorphismToGroup]:
-    """Monotone subgroup assignment with inclusion homs and trivial twists."""
+    """Package a monotone system of subgroups of ``ambient``: each object's
+    sorted elements, contained in those of every object a morphism from it
+    reaches.  Inclusion homs, trivial twists, and the inclusions into the
+    ambient group with trivial edge elements, which certify developability.
+
+    ``NotASubgroup`` if some elements are not a subgroup or the system is not
+    monotone along a morphism.  Equal subgroups share one group and equal
+    pairs one hom, within ``memo`` when one is given and within the call
+    otherwise."""
+    if memo is None:
+        memo = PackagingMemo()
+    group_of: dict[str, FiniteGroup] = {}
+    incl: dict[str, GroupHom] = {}
+    for o in S.objects:
+        group_of[o], incl[o] = memo.subgroup(ambient, elements[o])
+    psi = {m.id: memo.inclusion(ambient, elements[m.i], elements[m.t]) for m in S.morphisms}
+    twist = {pair: group_of[S.tgt(pair[0])].identity for pair in S.comp}
+    C = ComplexOfGroups(base=S, group_of=group_of, psi=psi, twist=twist, label="SEEDED")
+    theta = MorphismToGroup(
+        source=C,
+        target=ambient,
+        phi_local=incl,
+        phi_edge={m.id: ambient.identity for m in S.morphisms},
+    )
+    return C, theta
+
+
+def random_subgroup_complex(
+    S: Scwol, ambient: FiniteGroup, rng: random.Random, memo: Optional[PackagingMemo] = None
+) -> tuple[ComplexOfGroups, MorphismToGroup]:
+    """A random monotone subgroup system, packaged by ``subgroup_complex``."""
     subs = all_subgroups(ambient)
     # morphisms run big -> small: place an object once all its predecessors
     # (sources of incoming morphisms) are placed
+    preds = {o: [S.src(m) for m in S.into(o)] for o in S.objects}
     order: list[str] = []
     placed: set[str] = set()
     while len(order) < len(S.objects):
         progressed = False
         for o in sorted(S.objects):
-            if o in placed:
-                continue
-            if all(S.src(m) in placed for m in S.into(o)):
+            if o not in placed and placed.issuperset(preds[o]):
                 order.append(o)
                 placed.add(o)
                 progressed = True
@@ -169,49 +262,21 @@ def random_subgroup_complex(
     elements: dict[str, tuple[int, ...]] = {}
     for o in order:
         seed = set(rng.choice(subs))
-        for m in S.into(o):
-            seed |= set(elements[S.src(m)])
+        for p in preds[o]:
+            seed.update(elements[p])
         elements[o] = groups.subgroup_closure(ambient, seed)
-
-    group_of: dict[str, FiniteGroup] = {}
-    incl: dict[str, groups.GroupHom] = {}
-    packaged: dict[tuple[int, ...], tuple[FiniteGroup, groups.GroupHom]] = {}
-    for o in S.objects:
-        key = elements[o]
-        if key not in packaged:
-            packaged[key] = groups.subgroup_group(ambient, key)
-        group_of[o] = packaged[key][0]
-        incl[o] = packaged[key][1]
-
-    psi = {}
-    for m in S.morphisms:
-        src_elems = elements[m.i]
-        tgt_pos = {v: k for k, v in enumerate(elements[m.t])}
-        psi[m.id] = groups.GroupHom(
-            source=group_of[m.i],
-            target=group_of[m.t],
-            image=tuple(tgt_pos[v] for v in src_elems),
-        )
-    twist = {pair: group_of[S.tgt(pair[0])].identity for pair in S.comp}
-    C = ComplexOfGroups(base=S, group_of=group_of, psi=psi, twist=twist, label="SEEDED")
-    theta = MorphismToGroup(
-        source=C,
-        target=ambient,
-        phi_local={o: incl[o] for o in S.objects},
-        phi_edge={m.id: ambient.identity for m in S.morphisms},
-    )
-    return C, theta
+    return subgroup_complex(S, ambient, elements, memo)
 
 
-def random_entry(rng: random.Random) -> CorpusEntry:
+def random_entry(rng: random.Random, memo: Optional[PackagingMemo] = None) -> CorpusEntry:
     S = random_scwol(rng)
     ambient = rng.choices(_catalog(), weights=_AMBIENT_WEIGHTS, k=1)[0]
-    C, theta = random_subgroup_complex(S, ambient, rng)
+    C, theta = random_subgroup_complex(S, ambient, rng, memo)
     if S.comp and rng.random() < 0.75:
         # theta composed with the coboundary back by g^-1, in closed form:
         # the inclusions iota, with edge element iota_t(a)(g_a^-1) on each a
         g = {m.id: rng.randrange(C.group_of[m.t].order) for m in S.morphisms}
-        C, _ = coboundary(C, g)
+        C = coboundary_complex(C, g)
         iota = theta.phi_local
         phi_edge = {m.id: iota[m.t](C.group_of[m.t].inv[g[m.id]]) for m in S.morphisms}
         theta = MorphismToGroup(source=C, target=ambient, phi_local=iota, phi_edge=phi_edge)
@@ -219,18 +284,25 @@ def random_entry(rng: random.Random) -> CorpusEntry:
 
 
 def build_corpus(seed: int, count: int) -> list[CorpusEntry]:
+    """``count`` seeded entries; equal subgroups of one ambient group are one
+    group across the build (``PackagingMemo``)."""
     rng = random.Random(seed)
-    return [random_entry(rng) for _ in range(count)]
+    memo = PackagingMemo()
+    return [random_entry(rng, memo) for _ in range(count)]
 
 
 # -- random morphisms ------------------------------------------------------------
 
-def folded_double(C: ComplexOfGroups, rng: random.Random) -> Optional[CogMorphism]:
+def folded_double(
+    C: ComplexOfGroups, rng: random.Random, memo: Optional[PackagingMemo] = None
+) -> Optional[CogMorphism]:
     """Two copies of C glued at a sink vertex, folded back onto C.
 
     Both copies of the glue morphism share the glued target, so the coset
     criterion collides there: a constructed non-immersion.
     """
+    if memo is None:
+        memo = PackagingMemo()
     S = C.base
     candidates = sorted(m.id for m in S.morphisms if not S.out_of(m.t))
     if not candidates:
@@ -274,21 +346,21 @@ def folded_double(C: ComplexOfGroups, rng: random.Random) -> Optional[CogMorphis
         source=H,
         target=C,
         f=f,
-        phi_local={o: groups.identity_hom(H.group_of[o]) for o in Y.objects},
+        phi_local={o: memo.identity(H.group_of[o]) for o in Y.objects},
         phi_edge={m.id: C.group_of[S.tgt(on_morphisms[m.id])].identity for m in Y.morphisms},
     )
 
 
-def collapse_morphism(C: ComplexOfGroups) -> CogMorphism:
+def collapse_morphism(C: ComplexOfGroups, memo: Optional[PackagingMemo] = None) -> CogMorphism:
     """Collapse every local group to the trivial one over the same scwol."""
-    from .scwols import identity_scwol_morphism
-
+    if memo is None:
+        memo = PackagingMemo()
     S = C.base
-    triv = groups.cyclic_group(1)
+    triv = memo.trivial
     target = ComplexOfGroups(
         base=S,
         group_of={o: triv for o in S.objects},
-        psi={m.id: groups.identity_hom(triv) for m in S.morphisms},
+        psi={m.id: memo.identity(triv) for m in S.morphisms},
         twist={pair: 0 for pair in S.comp},
         label="COLLAPSED",
     )
@@ -296,34 +368,51 @@ def collapse_morphism(C: ComplexOfGroups) -> CogMorphism:
         source=C,
         target=target,
         f=identity_scwol_morphism(S),
-        phi_local={o: groups.trivial_hom(C.group_of[o], triv) for o in S.objects},
+        phi_local={o: memo.to_trivial(C.group_of[o]) for o in S.objects},
         phi_edge={m.id: 0 for m in S.morphisms},
+    )
+
+
+def _identity_over(
+    C: ComplexOfGroups, memo: PackagingMemo, g: Optional[dict[str, int]] = None
+) -> CogMorphism:
+    """Identity local homs over the identity of C's base: the identity
+    morphism of C, or with elements ``g`` the coboundary iso to C twisted by g."""
+    S = C.base
+    return CogMorphism(
+        source=C,
+        target=C if g is None else coboundary_complex(C, g),
+        f=identity_scwol_morphism(S),
+        phi_local={o: memo.identity(C.group_of[o]) for o in S.objects},
+        phi_edge={m.id: C.group_of[m.t].identity for m in S.morphisms} if g is None else g,
     )
 
 
 def build_morphism_corpus(seed: int, count: int) -> list[CogMorphism]:
     """Mixed valid morphisms: identities, coboundary isos, Sigmas, foldings
-    and collapses; foldings are guaranteed non-immersions."""
+    and collapses; foldings are guaranteed non-immersions.  One
+    ``PackagingMemo`` serves the build."""
     from .local import build_local_cog, build_sigma
 
     rng = random.Random(seed)
+    memo = PackagingMemo()
     out: list[CogMorphism] = []
     while len(out) < count:
-        entry = random_entry(rng)
+        entry = random_entry(rng, memo)
         C = entry.complex
         kind = rng.randrange(5)
         if kind == 0:
-            out.append(identity_cog_morphism(C))
+            out.append(_identity_over(C, memo))
         elif kind == 1:
             g = {m.id: rng.randrange(C.group_of[m.t].order) for m in C.base.morphisms}
-            out.append(coboundary(C, g)[1])
+            out.append(_identity_over(C, memo, g))
         elif kind == 2:
             gamma = rng.choice(sorted(C.base.objects))
             out.append(build_sigma(build_local_cog(C, gamma)))
         elif kind == 3:
             # folding doubles the base; keep sources within the 12-object scale
-            folded = folded_double(C, rng) if len(C.base.objects) <= 6 else None
-            out.append(folded if folded is not None else identity_cog_morphism(C))
+            folded = folded_double(C, rng, memo) if len(C.base.objects) <= 6 else None
+            out.append(folded if folded is not None else _identity_over(C, memo))
         else:
-            out.append(collapse_morphism(C))
+            out.append(collapse_morphism(C, memo))
     return out

@@ -1,10 +1,12 @@
-"""Shared fixtures: the segment, the 2-simplex scwol, and small complexes."""
+"""Shared fixtures: the segment, the 2-simplex scwol, small complexes, and
+the acceptance corpus."""
 
 from __future__ import annotations
 
 import pytest
 
 from cogkit import complexes, groups
+from cogkit.corpus import build_corpus
 from cogkit.scwols import Morphism, Scwol, scwol_from_simplicial_complex
 
 
@@ -109,3 +111,11 @@ def triangle_cog(two_simplex):
     return complexes.ComplexOfGroups(
         base=two_simplex, group_of=group_of, psi=psi, twist=twist, label="TRI-Z2"
     )
+
+
+@pytest.fixture(scope="session")
+def acceptance_corpus():
+    """``build_corpus(20260811, 200)``, built once per session.  A shorter
+    build of the same seed is a prefix of it
+    (``test_corpus.py::test_a_shorter_build_is_a_prefix``), so tests slice it."""
+    return build_corpus(seed=20260811, count=200)

@@ -26,7 +26,7 @@ from cogkit.complexes import (
     validate_cog_morphism,
     validate_morphism_to_group,
 )
-from cogkit.corpus import build_corpus, build_morphism_corpus
+from cogkit.corpus import build_morphism_corpus
 from cogkit.develop import (
     build_development,
     build_local_dev_morphism,
@@ -53,7 +53,6 @@ from cogkit.scwols import (
     validate_scwol_morphism,
 )
 
-CORPUS_SEED = 20260811
 CORPUS_SIZE = 200
 MORPHISM_SEED = 411
 MORPHISM_COUNT = 100
@@ -65,8 +64,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    return build_corpus(seed=CORPUS_SEED, count=CORPUS_SIZE)
+def corpus(acceptance_corpus):
+    """``build_corpus(20260811, CORPUS_SIZE)``, shared with the other modules."""
+    assert len(acceptance_corpus) == CORPUS_SIZE
+    return acceptance_corpus
 
 
 @pytest.fixture(scope="module")

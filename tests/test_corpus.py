@@ -7,6 +7,7 @@ import random
 import pytest
 
 from cogkit import groups
+from cogkit import io as cio
 from cogkit.complexes import validate_cog, validate_cog_morphism, validate_morphism_to_group
 from cogkit.corpus import (
     all_subgroups,
@@ -16,9 +17,11 @@ from cogkit.corpus import (
     folded_double,
     random_entry,
     random_subgroup_complex,
+    subgroup_complex,
 )
-from cogkit.errors import DirectedCycle
-from cogkit.immersions import check_coset_condition
+from cogkit.errors import DirectedCycle, NotASubgroup
+from cogkit.immersions import check_coset_condition, check_immersion
+from cogkit.local import build_local_cog, build_sigma
 from cogkit.scwols import Morphism, Scwol, chains, validate_scwol
 
 
@@ -151,3 +154,92 @@ def test_subgroup_complex_rejects_directed_cycle():
     cycle = Scwol(["x", "y"], [Morphism("a", "x", "y"), Morphism("b", "y", "x")], {}, label="CYC")
     with pytest.raises(DirectedCycle):
         random_subgroup_complex(cycle, groups.cyclic_group(2), random.Random(0))
+
+
+# -- packaging: one group per (ambient, elements) within a build -------------
+
+def test_subgroup_complex_packages_a_given_monotone_system(circle):
+    """Edges trivial, two vertices on one subgroup of order 2 and one on the
+    subgroup of order 3: each elements tuple is one labelled group, each
+    (source, target) pair one inclusion, and the complex and its morphism to
+    S3 are valid, injective and trivially twisted."""
+    S3 = groups.symmetric_group(3)
+    elements = {"p": (0, 1), "q": (0, 1), "r": (0, 2, 5), "p.q": (0,), "p.r": (0,), "q.r": (0,)}
+    C, theta = subgroup_complex(circle, S3, elements)
+    labels = {o: C.group_of[o].label for o in circle.objects}
+    assert labels == {
+        "p": "S3<0,1>", "q": "S3<0,1>", "r": "S3<0,2,5>", "p.q": "S3<0>", "p.r": "S3<0>", "q.r": "S3<0>",
+    }
+    assert C.group_of["p"] is C.group_of["q"] and C.group_of["p.q"] is C.group_of["q.r"]
+    assert C.psi["p.q>p"] is C.psi["p.q>q"] is C.psi["p.r>p"]
+    assert C.psi["p.q>p"].image == (0,) and C.psi["q.r>r"].image == (0,)
+    assert validate_cog(C).ok
+    assert all(theta.phi_local[o].image == elements[o] for o in circle.objects)
+    assert set(theta.phi_edge.values()) == {S3.identity}
+    rep = validate_morphism_to_group(theta)
+    assert rep.ok and rep.all_injective
+
+
+def test_subgroup_complex_refuses_a_non_subgroup_and_a_non_monotone_system(seg):
+    S3 = groups.symmetric_group(3)
+    with pytest.raises(NotASubgroup):
+        subgroup_complex(seg, S3, {"m": (0,), "v0": (0, 1, 2), "v1": (0, 1)})
+    with pytest.raises(NotASubgroup, match="S3<0,1> is not contained in S3<0,3>"):
+        subgroup_complex(seg, S3, {"m": (0, 1), "v0": (0, 3), "v1": (0, 1)})
+
+
+def group_objects(entries) -> dict[int, groups.FiniteGroup]:
+    return {id(G): G for e in entries for G in e.complex.group_of.values()}
+
+
+def test_one_build_shares_equal_subgroups(acceptance_corpus):
+    """75 group objects for the 200 complexes, one per (ambient, elements)
+    pair, where each complex packaged its own (477 objects)."""
+    by_pair: dict[tuple, groups.FiniteGroup] = {}
+    for e in acceptance_corpus:
+        for o, G in e.complex.group_of.items():
+            assert by_pair.setdefault((id(e.ambient), e.to_ambient.phi_local[o].image), G) is G
+    assert len(by_pair) == len(group_objects(acceptance_corpus)) == 75
+
+
+def test_two_builds_share_no_group():
+    """Both builds are kept alive, so their ids cannot be reused."""
+    def held(ms):
+        return {id(G) for phi in ms for C in (phi.source, phi.target) for G in C.group_of.values()}
+
+    first, second = build_corpus(seed=20260811, count=30), build_corpus(seed=20260811, count=30)
+    assert not group_objects(first).keys() & group_objects(second).keys()
+    m1, m2 = build_morphism_corpus(seed=411, count=30), build_morphism_corpus(seed=411, count=30)
+    assert not held(m1) & held(m2)
+
+
+def test_a_shorter_build_is_a_prefix(acceptance_corpus):
+    """The first k entries of a build do not depend on its length: the same
+    documents, so tests may slice the session corpus."""
+    def documents(entries):
+        return [(cio.cog_to_json(e.complex), cio.morphism_to_group_to_json(e.to_ambient)) for e in entries]
+
+    assert documents(acceptance_corpus[:40]) == documents(build_corpus(seed=20260811, count=40))
+    assert documents(build_corpus(seed=7, count=60)[:15]) == documents(build_corpus(seed=7, count=15))
+
+
+def test_sigmas_build_one_coset_space_per_group_and_subgroup(monkeypatch):
+    """The first check_immersion pass over the 1377 acceptance Sigmas builds
+    169 coset spaces, one per (group object, subgroup) pair; with a group
+    per complex it built 765.  A fresh build, so no earlier test has filled
+    the coset memos."""
+    made = []
+    space = groups.CosetSpace
+
+    def counting(**fields):
+        made.append(fields["subgroup"])
+        return space(**fields)
+
+    monkeypatch.setattr(groups, "CosetSpace", counting)
+    corpus = build_corpus(seed=20260811, count=200)
+    sigmas = [build_sigma(build_local_cog(e.complex, g)) for e in corpus for g in e.complex.base.objects]
+    assert len(sigmas) == 1377
+    for sigma in sigmas:
+        check_immersion(sigma)
+    kept = sum(len(G._cosets) for G in group_objects(corpus).values())
+    assert len(made) == kept == 169

@@ -15,7 +15,7 @@ from cogkit.complexes import (
     identity_cog_morphism,
     validate_cog_morphism,
 )
-from cogkit.corpus import build_corpus, build_morphism_corpus
+from cogkit.corpus import build_morphism_corpus
 from cogkit.develop import (
     _action_certified,
     _scan_action,
@@ -196,12 +196,12 @@ def test_stabilizer_is_conjugate_of_image(seg23, seg23_to_z6):
         assert stab == conj
 
 
-def test_act_matches_a_coset_scan():
+def test_act_matches_a_coset_scan(acceptance_corpus):
     """act(g) sends x@r to the lift x@s over x whose coset s im(phi_x) holds
     g r, found by scanning the lifts of x; a@r moves the same way in the
     cosets of im(phi_i(a))."""
     sample = []
-    for entry in build_corpus(seed=20260811, count=12):
+    for entry in acceptance_corpus[:12]:
         sample.append((entry.complex, entry.to_ambient))
         gamma = sorted(entry.complex.base.objects)[0]
         L = build_local_cog(entry.complex, gamma)

@@ -239,14 +239,12 @@ def test_realization_two_simplex(two_simplex):
         assert len(set(ex.vertices_of[cid])) == 3
 
 
-def test_realization_levels_are_the_oracle_chains():
+def test_realization_levels_are_the_oracle_chains(acceptance_corpus):
     """On every base of one corpus seed, 48 of them with composable triples:
     level k holds the oracle's k-chains and no chain extends the top level;
     each k-cell has k + 1 faces, (k-1)-cells in order, face j missing vertex k - j."""
-    from cogkit.corpus import build_corpus
-
     deep = 0
-    for e in build_corpus(seed=20260811, count=200):
+    for e in acceptance_corpus:
         S = e.complex.base
         ex = geometric_realization(S)
         top = len(ex.cells) - 1
@@ -290,16 +288,15 @@ def assert_derived_as_before(S):
         assert name in vars(S), name  # computed once, then read from the instance
 
 
-def test_derived_fields_equal_the_eager_derivation():
+def test_derived_fields_equal_the_eager_derivation(acceptance_corpus):
     """Every star and local development of one corpus seed, and a poset
     scwol: the lazily derived fields equal the old eager derivation and that
     of a plain ``Scwol`` on the same data, each is computed once per object,
     and a star builds its morphisms and composition table only when read."""
-    from cogkit.corpus import build_corpus
     from cogkit.develop import build_local_development
 
     stars = 0
-    for e in build_corpus(seed=20260811, count=200):
+    for e in acceptance_corpus:
         C = e.complex
         for gamma in sorted(C.base.objects):
             for st in (star_scwol(C.base, gamma), build_local_development(C, gamma).scwol):
@@ -453,13 +450,12 @@ def test_iso_six_parallel_morphisms_within_small_budget():
     assert scwol_isomorphic(folded, base, budget=200) is None
 
 
-def test_iso_against_networkx_oracle():
+def test_iso_against_networkx_oracle(acceptance_corpus):
     """Corpus scwols, stars and local developments, paired with same-size ones and
     with random relabellings: every witness is a bijective functor, every
     relabelling gets one, and pairs whose object multidigraphs networkx tells
     apart get None."""
     nx = pytest.importorskip("networkx")
-    from cogkit.corpus import build_corpus
     from cogkit.develop import build_local_development
 
     pool = [
@@ -468,7 +464,7 @@ def test_iso_against_networkx_oracle():
             [[f"{p}{i}", f"{p}{(i + 1) % 4}"] for p in "ab" for i in range(4)], label="2C4"
         ),
     ]
-    for e in build_corpus(seed=20260811, count=40):
+    for e in acceptance_corpus[:40]:
         S = e.complex.base
         pool.append(S)
         for gamma in sorted(S.objects)[:2]:
@@ -533,15 +529,14 @@ def joint_partition(colors) -> set[frozenset]:
     return set(map(frozenset, classes.values()))
 
 
-def test_refine_colors_matches_the_three_round_rule_on_the_corpus():
+def test_refine_colors_matches_the_three_round_rule_on_the_corpus(acceptance_corpus):
     """Stopping at a stable partition gives the 3-round partition on the
     1377 (development, local development) pairs of the acceptance corpus
     and on every pair of its first 40 bases."""
-    from cogkit.corpus import build_corpus
     from cogkit.develop import build_development, build_local_development
     from cogkit.local import build_local_cog, build_theta
 
-    corpus = build_corpus(seed=20260811, count=200)
+    corpus = acceptance_corpus
     pairs = []
     for e in corpus:
         for gamma in e.complex.base.objects:
