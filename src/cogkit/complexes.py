@@ -14,6 +14,8 @@ reported with the least index, never sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable
 
 from . import groups
 from .groups import FiniteGroup, GroupHom
@@ -154,6 +156,10 @@ def validate_cog_morphism(phi: CogMorphism) -> ValidationReport:
     if failures:
         return ValidationReport(False, tuple(failures))
 
+    # law (1) a row at a time, as e psi_f(a)(phi_i(x)) = phi_t(psi_a(x)) e over
+    # all x: row e of the table against column e read at the right-hand
+    # values, one tuple comparison per morphism.  Only a mismatch is scanned
+    # element by element, for the least failing x.
     for m in Y.morphisms:
         a = m.id
         fa = phi.f.mor(a)
@@ -163,6 +169,13 @@ def validate_cog_morphism(phi: CogMorphism) -> ValidationReport:
         phi_i = phi.phi_local[m.i]
         phi_t = phi.phi_local[m.t]
         xi_a = H.psi[a]
+        left = map(psi_fa.image.__getitem__, phi_i.image)
+        right = map(phi_t.image.__getitem__, xi_a.image)
+        if e != Gt.identity:
+            left = map(Gt.mult[e].__getitem__, left)
+            right = map(itemgetter(e), map(Gt.mult.__getitem__, right))
+        if tuple(left) == tuple(right):
+            continue
         for x in H.group_of[m.i].elements():
             lhs = Gt.conj(e, psi_fa(phi_i(x)))
             rhs = phi_t(xi_a(x))
@@ -175,11 +188,12 @@ def validate_cog_morphism(phi: CogMorphism) -> ValidationReport:
                     )
                 )
                 break
+    f_mor, edge = phi.f.on_morphisms, phi.phi_edge
     for (a, b), ab in sorted(Y.comp.items()):
-        fa, fb = phi.f.mor(a), phi.f.mor(b)
-        Gt = G.group_of[X.tgt(fa)]
-        lhs = Gt.mul(phi.phi_local[Y.tgt(a)](H.twist[(a, b)]), phi.phi_edge[ab])
-        rhs = Gt.word([phi.phi_edge[a], G.psi[fa](phi.phi_edge[b]), G.twist[(fa, fb)]])
+        fa, fb = f_mor[a], f_mor[b]
+        mult = G.group_of[X.tgt(fa)].mult
+        lhs = mult[phi.phi_local[Y.tgt(a)].image[H.twist[(a, b)]]][edge[ab]]
+        rhs = mult[mult[edge[a]][G.psi[fa].image[edge[b]]]][G.twist[(fa, fb)]]
         if lhs != rhs:
             failures.append(
                 Failure(
@@ -281,12 +295,16 @@ def compose_to_group(theta: MorphismToGroup, phi: CogMorphism) -> MorphismToGrou
 
 # -- coboundary ---------------------------------------------------------------
 
-def coboundary_complex(C: ComplexOfGroups, g: dict[str, int]) -> ComplexOfGroups:
+def coboundary_complex(
+    C: ComplexOfGroups, g: dict[str, int], conjugated: Callable[[GroupHom, int], GroupHom]
+) -> ComplexOfGroups:
     """Twist C by elements g_a in G_t(a).
 
-    New homs are psi'_a = Ad(g_a^-1) psi_a.  The printed twist formula of the
-    source text drops a factor, so the new twists are solved from morphism
-    condition (2) with phi_sigma = id and phi(a) = g_a:
+    New homs are psi'_a = Ad(g_a^-1) psi_a, made by ``conjugated(psi_a,
+    g_a^-1)``: ``groups.conjugated``, or a corpus build's memo of it, which
+    makes one hom per equal pair across the build.  The printed twist
+    formula of the source text drops a factor, so the new twists are solved
+    from morphism condition (2) with phi_sigma = id and phi(a) = g_a:
 
         g'_{a,b} = psi'_a(g_b^-1) * g_a^-1 * g_{a,b} * g_{ab}
 
@@ -298,17 +316,7 @@ def coboundary_complex(C: ComplexOfGroups, g: dict[str, int]) -> ComplexOfGroups
         Gt = C.group_of[m.t]
         if not 0 <= g.get(m.id, -1) < Gt.order:
             raise ValueError(f"coboundary element for {m.id!r} missing or out of range")
-    new_psi = {}
-    for m in S.morphisms:
-        Gt = C.group_of[m.t]
-        ga_inv = Gt.inv[g[m.id]]
-        old = C.psi[m.id]
-        conj = GroupHom(
-            source=old.source,
-            target=old.target,
-            image=tuple(Gt.conj(ga_inv, old(x)) for x in old.source.elements()),
-        )
-        new_psi[m.id] = conj
+    new_psi = {m.id: conjugated(C.psi[m.id], C.group_of[m.t].inv[g[m.id]]) for m in S.morphisms}
     new_twist = {}
     for (a, b), ab in S.comp.items():
         Gt = C.group_of[S.tgt(a)]
@@ -324,7 +332,7 @@ def coboundary_complex(C: ComplexOfGroups, g: dict[str, int]) -> ComplexOfGroups
 def coboundary(C: ComplexOfGroups, g: dict[str, int]) -> tuple[ComplexOfGroups, CogMorphism]:
     """Twist C by elements g_a in G_t(a) (``coboundary_complex``); returns
     the new complex and the iso: identity local homs, and g_a on each a."""
-    newC = coboundary_complex(C, g)
+    newC = coboundary_complex(C, g, groups.conjugated)
     S = C.base
     iso = CogMorphism(
         source=C,

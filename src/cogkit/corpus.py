@@ -77,13 +77,16 @@ def all_subgroups(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 # -- random scwols -------------------------------------------------------------
 
-def random_scwol(rng: random.Random) -> Scwol:
+def random_scwol(rng: random.Random, memo: Optional[PackagingMemo] = None) -> Scwol:
+    """A random base; equal draws are one scwol within ``memo``."""
+    if memo is None:
+        memo = PackagingMemo()
     if rng.random() < 0.5:
-        return _random_simplicial_scwol(rng)
-    return _random_layered_scwol(rng)
+        return _random_simplicial_scwol(rng, memo)
+    return _random_layered_scwol(rng, memo)
 
 
-def _random_simplicial_scwol(rng: random.Random) -> Scwol:
+def _random_simplicial_scwol(rng: random.Random, memo: PackagingMemo) -> Scwol:
     for _ in range(50):
         nv = rng.choice((2, 3, 3, 3, 4, 4))
         verts = [f"v{i}" for i in range(nv)]
@@ -106,11 +109,11 @@ def _random_simplicial_scwol(rng: random.Random) -> Scwol:
         n_objects = nv + len(edges) + len(triangles)
         if n_objects <= MAX_OBJECTS:
             facets = [sorted(e) for e in edges] + [list(t) for t in triangles]
-            return scwol_from_simplicial_complex(facets, label="RNDK")
+            return memo.simplicial(facets, label="RNDK")
     raise AssertionError("could not draw a small simplicial scwol")
 
 
-def _random_layered_scwol(rng: random.Random) -> Scwol:
+def _random_layered_scwol(rng: random.Random, memo: PackagingMemo) -> Scwol:
     """Graded poset of height 3-4; tall enough for composable triples."""
     for _ in range(50):
         height = rng.randint(3, 4)
@@ -133,7 +136,7 @@ def _random_layered_scwol(rng: random.Random) -> Scwol:
                 for y in kids:
                     cover |= below[y]
                 below[x] = cover
-        return scwol_from_poset(below, label="RNDP")
+        return memo.poset(below, label="RNDP")
     raise AssertionError("could not draw a layered scwol")
 
 
@@ -147,16 +150,19 @@ class CorpusEntry:
 
 
 class PackagingMemo:
-    """The packaged subgroups and the homs that one corpus build shares.
+    """The bases, packaged subgroups, homs and identity maps that one corpus
+    build shares.
 
     Each (ambient group, sorted elements) pair is packaged once, so equal
     subgroups of one ambient group are one ``FiniteGroup`` within a build
     and share its coset memo.  The key is the ambient object, not the
     table: subgroups of different ambient groups with equal tables keep
-    their own labels.  One memo serves one build, so two builds share no
-    group and no coset space; it is kept neither at module level nor on a
-    group.  Keyed by object id, it keeps every keyed group alive through the
-    homs it holds.
+    their own labels.  Equal bases (label and facets, or label and poset)
+    are one scwol, with one identity map; each coboundary twist
+    Ad(x) psi is made once per (psi, x).  One memo serves one build, so two
+    builds share no group, base or hom; it is kept neither at module level
+    nor on a group.  Every table keyed by an object id holds that object in
+    its value, so the object outlives the memo's use of its id.
     """
 
     def __init__(self) -> None:
@@ -165,6 +171,10 @@ class PackagingMemo:
         self._inclusions: dict[tuple[int, tuple[int, ...], tuple[int, ...]], GroupHom] = {}
         self._identities: dict[int, GroupHom] = {}
         self._to_trivial: dict[int, GroupHom] = {}
+        self._bases: dict[tuple, Scwol] = {}
+        self._identity_maps: dict[int, ScwolMorphism] = {}
+        # (psi, x) -> psi, Ad(x) psi
+        self._conjugated: dict[tuple[int, int], tuple[GroupHom, GroupHom]] = {}
 
     def subgroup(self, ambient: FiniteGroup, elements: tuple[int, ...]) -> tuple[FiniteGroup, GroupHom]:
         """The subgroup on sorted ``elements`` as a group, and its inclusion."""
@@ -190,20 +200,40 @@ class PackagingMemo:
         return hom
 
     def identity(self, G: FiniteGroup) -> GroupHom:
-        hom = self._identities.get(id(G))
-        if hom is None:
-            hom = self._identities[id(G)] = groups.identity_hom(G)
-        return hom
+        return _once(self._identities, id(G), lambda: groups.identity_hom(G))
 
     @cached_property
     def trivial(self) -> FiniteGroup:
         return groups.cyclic_group(1)
 
     def to_trivial(self, G: FiniteGroup) -> GroupHom:
-        hom = self._to_trivial.get(id(G))
-        if hom is None:
-            hom = self._to_trivial[id(G)] = groups.trivial_hom(G, self.trivial)
-        return hom
+        return _once(self._to_trivial, id(G), lambda: groups.trivial_hom(G, self.trivial))
+
+    def simplicial(self, facets: list[list[str]], label: str) -> Scwol:
+        """``scwol_from_simplicial_complex``, once per label and set of facets."""
+        key = (label, "facets", tuple(sorted(map(tuple, facets))))
+        return _once(self._bases, key, lambda: scwol_from_simplicial_complex(facets, label=label))
+
+    def poset(self, below: dict[str, set[str]], label: str) -> Scwol:
+        """``scwol_from_poset``, once per label and relation."""
+        key = (label, "poset", tuple(sorted((x, tuple(sorted(ys))) for x, ys in below.items())))
+        return _once(self._bases, key, lambda: scwol_from_poset(below, label=label))
+
+    def identity_map(self, S: Scwol) -> ScwolMorphism:
+        return _once(self._identity_maps, id(S), lambda: identity_scwol_morphism(S))
+
+    def conjugated(self, psi: GroupHom, x: int) -> GroupHom:
+        """``groups.conjugated(psi, x)``, once per (psi, x)."""
+        entry = _once(self._conjugated, (id(psi), x), lambda: (psi, groups.conjugated(psi, x)))
+        return entry[1]
+
+
+def _once(table: dict, key, make):
+    """``table[key]``, made by ``make()`` on first use."""
+    value = table.get(key)
+    if value is None:
+        value = table[key] = make()
+    return value
 
 
 def subgroup_complex(
@@ -269,14 +299,16 @@ def random_subgroup_complex(
 
 
 def random_entry(rng: random.Random, memo: Optional[PackagingMemo] = None) -> CorpusEntry:
-    S = random_scwol(rng)
+    if memo is None:
+        memo = PackagingMemo()
+    S = random_scwol(rng, memo)
     ambient = rng.choices(_catalog(), weights=_AMBIENT_WEIGHTS, k=1)[0]
     C, theta = random_subgroup_complex(S, ambient, rng, memo)
     if S.comp and rng.random() < 0.75:
         # theta composed with the coboundary back by g^-1, in closed form:
         # the inclusions iota, with edge element iota_t(a)(g_a^-1) on each a
         g = {m.id: rng.randrange(C.group_of[m.t].order) for m in S.morphisms}
-        C = coboundary_complex(C, g)
+        C = coboundary_complex(C, g, memo.conjugated)
         iota = theta.phi_local
         phi_edge = {m.id: iota[m.t](C.group_of[m.t].inv[g[m.id]]) for m in S.morphisms}
         theta = MorphismToGroup(source=C, target=ambient, phi_local=iota, phi_edge=phi_edge)
@@ -284,8 +316,8 @@ def random_entry(rng: random.Random, memo: Optional[PackagingMemo] = None) -> Co
 
 
 def build_corpus(seed: int, count: int) -> list[CorpusEntry]:
-    """``count`` seeded entries; equal subgroups of one ambient group are one
-    group across the build (``PackagingMemo``)."""
+    """``count`` seeded entries; equal bases, subgroups of one ambient group
+    and twisted homs are one object each across the build (``PackagingMemo``)."""
     rng = random.Random(seed)
     memo = PackagingMemo()
     return [random_entry(rng, memo) for _ in range(count)]
@@ -327,12 +359,13 @@ def folded_double(
             if name not in on_objects:
                 objects.append(name)
                 on_objects[name] = o
+        names = {m.id: mor_name(m.id, side) for m in S.morphisms}
         for m in S.morphisms:
-            name = mor_name(m.id, side)
+            name = names[m.id]
             morphisms.append(Morphism(name, obj_name(m.i, side), obj_name(m.t, side)))
             on_morphisms[name] = m.id
         for (a, b), ab in S.comp.items():
-            comp[(mor_name(a, side), mor_name(b, side))] = mor_name(ab, side)
+            comp[(names[a], names[b])] = names[ab]
     Y = Scwol(sorted(objects), morphisms, comp, label=f"{S.label}x2")
     f = ScwolMorphism(source=Y, target=S, on_objects=on_objects, on_morphisms=on_morphisms)
     H = ComplexOfGroups(
@@ -367,7 +400,7 @@ def collapse_morphism(C: ComplexOfGroups, memo: Optional[PackagingMemo] = None) 
     return CogMorphism(
         source=C,
         target=target,
-        f=identity_scwol_morphism(S),
+        f=memo.identity_map(S),
         phi_local={o: memo.to_trivial(C.group_of[o]) for o in S.objects},
         phi_edge={m.id: 0 for m in S.morphisms},
     )
@@ -381,8 +414,8 @@ def _identity_over(
     S = C.base
     return CogMorphism(
         source=C,
-        target=C if g is None else coboundary_complex(C, g),
-        f=identity_scwol_morphism(S),
+        target=C if g is None else coboundary_complex(C, g, memo.conjugated),
+        f=memo.identity_map(S),
         phi_local={o: memo.identity(C.group_of[o]) for o in S.objects},
         phi_edge={m.id: C.group_of[m.t].identity for m in S.morphisms} if g is None else g,
     )
@@ -391,7 +424,8 @@ def _identity_over(
 def build_morphism_corpus(seed: int, count: int) -> list[CogMorphism]:
     """Mixed valid morphisms: identities, coboundary isos, Sigmas, foldings
     and collapses; foldings are guaranteed non-immersions.  One
-    ``PackagingMemo`` serves the build."""
+    ``PackagingMemo`` serves the build, so identities and collapses over one
+    base share its identity map."""
     from .local import build_local_cog, build_sigma
 
     rng = random.Random(seed)

@@ -304,6 +304,12 @@ def ad(g: int, G: FiniteGroup) -> GroupHom:
     return GroupHom(source=G, target=G, image=tuple(G.conj(g, h) for h in G.elements()))
 
 
+def conjugated(h: GroupHom, x: int) -> GroupHom:
+    """Ad(x) h: h followed by conjugation by x in its target."""
+    G = h.target
+    return GroupHom(source=h.source, target=G, image=tuple(G.conj(x, v) for v in h.image))
+
+
 def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     """f after g; requires target of g = source of f."""
     if g.target is not f.source and g.target != f.source:

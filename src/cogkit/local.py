@@ -112,11 +112,17 @@ def build_sigma(L: LocalCog) -> CogMorphism:
     C = L.parent
     S = C.base
     h = star_projection(star)
-    phi_local: dict[str, GroupHom] = {
-        star.center_id: groups.identity_hom(L.center_group)
-    }
+    identities: dict[int, GroupHom] = {}  # one per group object; equal groups may differ
+
+    def identity(G: FiniteGroup) -> GroupHom:
+        hom = identities.get(id(G))
+        if hom is None:
+            hom = identities[id(G)] = groups.identity_hom(G)
+        return hom
+
+    phi_local: dict[str, GroupHom] = {star.center_id: identity(L.center_group)}
     for oid, (_, c) in star.upper.items():
-        phi_local[oid] = groups.identity_hom(C.group_of[S.src(c)])
+        phi_local[oid] = identity(C.group_of[S.src(c)])
     for oid, b in star.lower.items():
         phi_local[oid] = C.psi[b]
 

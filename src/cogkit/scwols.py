@@ -788,19 +788,21 @@ def scwol_from_poset(strictly_greater: dict[str, set[str]], label: str = "Y") ->
     """Scwol of a strict partial order: one morphism x -> y per relation x > y.
 
     The input must be transitively closed; composites are forced by
-    uniqueness of parallel morphisms.
+    uniqueness of parallel morphisms.  The composition table holds the
+    morphisms' own id strings; on an input that is not closed, a composite
+    with no morphism is named all the same, for ``validate_scwol`` to report.
     """
     objects = sorted(strictly_greater)
-    mors = []
-    for x in objects:
-        for y in sorted(strictly_greater[x]):
-            mors.append(Morphism(f"{x}>{y}", x, y))
+    below = {x: sorted(strictly_greater[x]) for x in objects}
+    name = {(x, y): f"{x}>{y}" for x in objects for y in below[x]}
+    mors = [Morphism(name[(x, y)], x, y) for x in objects for y in below[x]]
     comp = {}
     for x in objects:
-        for y in sorted(strictly_greater[x]):
-            for z in sorted(strictly_greater[y]):
+        for y in below[x]:
+            for z in below[y]:
                 # a: y > z after b: x > y gives x > z
-                comp[(f"{y}>{z}", f"{x}>{y}")] = f"{x}>{z}"
+                xz = name.get((x, z)) or f"{x}>{z}"
+                comp[(name[(y, z)], name[(x, y)])] = xz
     return Scwol(objects, mors, comp, label=label)
 
 

@@ -1,12 +1,12 @@
-"""Shared fixtures: the segment, the 2-simplex scwol, small complexes, and
-the acceptance corpus."""
+"""Shared fixtures: the segment, the 2-simplex scwol, small complexes, the
+acceptance corpus and the morphism corpus."""
 
 from __future__ import annotations
 
 import pytest
 
 from cogkit import complexes, groups
-from cogkit.corpus import build_corpus
+from cogkit.corpus import build_corpus, build_morphism_corpus
 from cogkit.scwols import Morphism, Scwol, scwol_from_simplicial_complex
 
 
@@ -119,3 +119,12 @@ def acceptance_corpus():
     build of the same seed is a prefix of it
     (``test_corpus.py::test_a_shorter_build_is_a_prefix``), so tests slice it."""
     return build_corpus(seed=20260811, count=200)
+
+
+@pytest.fixture(scope="session")
+def morphism_corpus():
+    """``build_morphism_corpus(411, 200)``, built once per session.  A shorter
+    build of the same seed is a prefix of it
+    (``test_corpus.py::test_a_shorter_morphism_build_is_a_prefix``), so tests
+    slice it."""
+    return build_morphism_corpus(seed=411, count=200)

@@ -26,7 +26,6 @@ from cogkit.complexes import (
     validate_cog_morphism,
     validate_morphism_to_group,
 )
-from cogkit.corpus import build_morphism_corpus
 from cogkit.develop import (
     build_development,
     build_local_dev_morphism,
@@ -54,7 +53,6 @@ from cogkit.scwols import (
 )
 
 CORPUS_SIZE = 200
-MORPHISM_SEED = 411
 MORPHISM_COUNT = 100
 ISO_BUDGET = 10**6
 
@@ -228,9 +226,10 @@ def test_criterion_5_sigma_functorial(local_data):
     _passline(5, f"Sigma valid and an immersion at all {len(local_data)} pairs ({elapsed:.1f}s)")
 
 
-def test_criterion_6_coset_criterion_equivalence():
+def test_criterion_6_coset_criterion_equivalence(morphism_corpus):
     t0 = time.time()
-    morphisms = build_morphism_corpus(seed=MORPHISM_SEED, count=MORPHISM_COUNT)
+    # build_morphism_corpus(411, MORPHISM_COUNT), a prefix of the session build
+    morphisms = morphism_corpus[:MORPHISM_COUNT]
     assert len(morphisms) >= 100
     non_immersions = 0
     disagreements = 0

@@ -22,7 +22,14 @@ from cogkit.corpus import (
 from cogkit.errors import DirectedCycle, NotASubgroup
 from cogkit.immersions import check_coset_condition, check_immersion
 from cogkit.local import build_local_cog, build_sigma
-from cogkit.scwols import Morphism, Scwol, chains, validate_scwol
+from cogkit.scwols import (
+    Morphism,
+    Scwol,
+    chains,
+    scwol_from_poset,
+    scwol_from_simplicial_complex,
+    validate_scwol,
+)
 
 
 def test_catalog_orders():
@@ -243,3 +250,86 @@ def test_sigmas_build_one_coset_space_per_group_and_subgroup(monkeypatch):
         check_immersion(sigma)
     kept = sum(len(G._cosets) for G in group_objects(corpus).values())
     assert len(made) == kept == 169
+
+
+# -- sharing: one base, twisted hom and identity map per equal value ----------
+
+def scwol_content(S: Scwol) -> tuple:
+    return S.label, S.objects, S.morphisms, tuple(sorted(S.comp.items()))
+
+
+def held_bases(ms) -> dict[int, Scwol]:
+    return {id(C.base): C.base for phi in ms for C in (phi.source, phi.target)}
+
+
+def held_psi(ms) -> dict[int, groups.GroupHom]:
+    return {id(h): h for phi in ms for C in (phi.source, phi.target) for h in C.psi.values()}
+
+
+def test_equal_bases_are_one_object_within_a_build(acceptance_corpus, morphism_corpus):
+    """Within a build, each drawn base (label and content) is one scwol.
+    Stars and folded doubles are built per morphism and are not drawn."""
+    for drawn in (
+        [e.complex.base for e in acceptance_corpus],
+        [S for S in held_bases(morphism_corpus).values() if S.label in ("RNDK", "RNDP")],
+    ):
+        by_content: dict[tuple, Scwol] = {}
+        for S in drawn:
+            assert by_content.setdefault(scwol_content(S), S) is S
+        assert len(by_content) == len({id(S) for S in drawn})
+
+
+def test_two_builds_share_no_base_and_no_psi_hom():
+    """Both builds are kept alive, so their ids cannot be reused."""
+    first, second = build_corpus(seed=20260811, count=30), build_corpus(seed=20260811, count=30)
+    for pick in (lambda e: [e.complex.base], lambda e: list(e.complex.psi.values())):
+        assert not {id(x) for e in first for x in pick(e)} & {id(x) for e in second for x in pick(e)}
+    m1, m2 = build_morphism_corpus(seed=411, count=30), build_morphism_corpus(seed=411, count=30)
+    assert not held_bases(m1).keys() & held_bases(m2).keys()
+    assert not held_psi(m1).keys() & held_psi(m2).keys()
+
+
+def assert_comp_holds_morphism_ids(S: Scwol) -> None:
+    for (a, b), ab in S.comp.items():
+        assert all(x is S.mor_by_id[x].id for x in (a, b, ab)), (a, b, ab)
+
+
+def test_comp_entries_are_the_morphism_id_strings(morphism_corpus):
+    """``scwol_from_poset`` and ``folded_double`` fill their composition
+    tables with the morphisms' own id strings, not equal copies."""
+    assert_comp_holds_morphism_ids(scwol_from_poset({"w": {"x", "y", "z"}, "x": {"y", "z"}, "y": {"z"}, "z": set()}))
+    assert_comp_holds_morphism_ids(scwol_from_simplicial_complex([["p", "q", "r"], ["r", "s"]]))
+    folds = [phi for phi in morphism_corpus if phi.source.label.endswith("x2")]
+    assert folds and any(phi.source.base.comp for phi in folds)
+    for phi in folds:
+        assert_comp_holds_morphism_ids(phi.source.base)
+        assert_comp_holds_morphism_ids(phi.target.base)
+
+
+def test_one_morphism_build_shares_bases_twisted_homs_and_identity_maps(acceptance_corpus):
+    """``build_morphism_corpus(411, 1000)`` holds 733 bases, 1 963 psi homs
+    and 639 scwol maps, where each entry built its own (1 281, 10 491 and
+    1 000); ``build_corpus(20260811, 200)`` holds 117 bases and 459 psi homs
+    (200 and 1 630).  Each of the 189 Sigmas makes one identity hom per
+    group object: 348 over all of them, against 606 with one per object."""
+    ms = build_morphism_corpus(seed=411, count=1000)
+    counts = len(held_bases(ms)), len(held_psi(ms)), len({id(phi.f) for phi in ms})
+    assert counts == (733, 1963, 639)
+    sigmas = [phi for phi in ms if phi.source.label.startswith("L(")]
+    identities = {
+        id(h) for phi in sigmas for h in phi.phi_local.values()
+        if h.source is h.target and h.image == tuple(h.source.elements())
+    }
+    assert (len(sigmas), len(identities)) == (189, 348)
+    assert len({id(e.complex.base) for e in acceptance_corpus}) == 117
+    assert len({id(h) for e in acceptance_corpus for h in e.complex.psi.values()}) == 459
+
+
+def test_a_shorter_morphism_build_is_a_prefix(morphism_corpus):
+    """``build_morphism_corpus(s, n)[:k]`` has the documents of
+    ``build_morphism_corpus(s, k)``, so tests may slice the session build."""
+    def documents(ms):
+        return [cio.cog_morphism_to_json(phi) for phi in ms]
+
+    assert documents(morphism_corpus[:40]) == documents(build_morphism_corpus(seed=411, count=40))
+    assert documents(build_morphism_corpus(seed=7, count=60)[:15]) == documents(build_morphism_corpus(seed=7, count=15))

@@ -15,7 +15,6 @@ from cogkit.complexes import (
     identity_cog_morphism,
     validate_cog_morphism,
 )
-from cogkit.corpus import build_morphism_corpus
 from cogkit.develop import (
     _action_certified,
     _scan_action,
@@ -545,14 +544,14 @@ def test_phi_sigma_names_a_cell_without_an_image():
             check(phi, "g")
 
 
-def test_phi_sigma_builds_nothing_derived_on_either_local_development():
+def test_phi_sigma_builds_nothing_derived_on_either_local_development(morphism_corpus):
     """Phi_sigma's injectivity reads families and coset reps only: neither
     local development formats an id or builds its object tuple, id maps,
     morphisms, table, id index, object set or adjacency, and only the target
     builds its family set, on the first 40 entries of the morphism corpus."""
     derived = {"morphisms", "comp", "mor_by_id", "object_set", "_in", "_out"}
     derived |= {"id_of", "objects", "mor_family", "upper", "lower", "center_id", "_arrows"}
-    for phi in build_morphism_corpus(411, 40):
+    for phi in morphism_corpus[:40]:
         for sigma in sorted(phi.source.base.objects):
             src = build_local_development(phi.source, sigma)
             tgt = build_local_development(phi.target, phi.f.obj(sigma))
@@ -561,12 +560,12 @@ def test_phi_sigma_builds_nothing_derived_on_either_local_development():
             assert "families" not in vars(src.scwol)
 
 
-def test_phi_sigma_family_verdicts_equal_the_id_counts():
+def test_phi_sigma_family_verdicts_equal_the_id_counts(morphism_corpus):
     """On the first 200 entries of the morphism corpus, the injectivity
     counted on families agrees with distinct ids in Phi_sigma's maps (1 337
     source objects, 118 of them not injective)."""
     verdicts = []
-    for phi in build_morphism_corpus(411, 200):
+    for phi in morphism_corpus:
         for sigma in sorted(phi.source.base.objects):
             f = build_local_dev_morphism(phi, sigma)
             upper = [f.on_objects[o] for o in f.source.upper]

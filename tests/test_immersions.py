@@ -6,7 +6,6 @@ from collections import defaultdict
 from pathlib import Path
 
 from cogkit import groups
-from cogkit.corpus import build_morphism_corpus
 from cogkit.complexes import (
     CogMorphism,
     ComplexOfGroups,
@@ -198,12 +197,11 @@ def test_coset_condition_equals_upper_link_injectivity(seg23, star_s3, triangle_
             assert oracle["upper_link"] == rep.coset_verdict_at(sigma), sigma
 
 
-def test_check_immersion_equals_local_development_oracle(seg23, star_s3, triangle_cog):
+def test_check_immersion_equals_local_development_oracle(morphism_corpus, seg23, star_s3, triangle_cog):
     """Every report field equals the one built from local developments, on
     the first 200 corpus morphisms (a quarter of them foldings) and on the
     Sigmas of every fixture center."""
-    morphisms = build_morphism_corpus(seed=411, count=200)
-    morphisms += fixture_morphisms(seg23, star_s3, triangle_cog)
+    morphisms = morphism_corpus + fixture_morphisms(seg23, star_s3, triangle_cog)
     negatives = 0
     for phi in morphisms:
         rep = check_immersion(phi)
